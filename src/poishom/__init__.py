@@ -7,6 +7,8 @@ complexes with coefficients, weight-graded Betti numbers, and an exact
 verifier for the twisted duality between them.
 """
 
+__version__ = "0.1.0"
+
 from .calculus import (
     Form,
     ModuleChainElement,
@@ -19,7 +21,9 @@ from .complexes import (
     BasisElement,
     ComplexSlice,
     assemble_slice,
+    basis_image,
     blacktriangle,
+    blacktriangle_basis,
     blacktriangle_inverse,
     chain_differential,
     cochain_differential,
@@ -48,12 +52,10 @@ from .homology import (
 )
 from .pmodule import (
     PoissonModule,
-    check_flat,
     elw_connection,
     flatness_defect,
     module_bracket,
     twist,
-    verify_flat,
 )
 from .poisson import PoissonStructure, VolumeForm
 from .poly import Poly, monomials_of_degree
@@ -80,12 +82,13 @@ __all__ = [
     "SchemaError",
     "VolumeForm",
     "assemble_slice",
+    "basis_image",
     "betti",
     "betti_table",
     "blacktriangle",
+    "blacktriangle_basis",
     "blacktriangle_inverse",
     "chain_differential",
-    "check_flat",
     "cochain_differential",
     "elw_connection",
     "flatness_defect",
@@ -100,7 +103,4 @@ __all__ = [
     "star_inverse",
     "twist",
     "verify_duality",
-    "verify_flat",
 ]
-
-__version__ = "0.1.0"

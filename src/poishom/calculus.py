@@ -21,11 +21,21 @@ without special-casing by the caller.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import permutations
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DimensionError
 from .poly import Poly
+
+
+def _accumulate(out: dict, key, piece: Poly):
+    """Add ``piece`` to ``out[key]``, keeping only nonzero coefficients."""
+    acc = out.get(key)
+    acc = piece if acc is None else acc + piece
+    if acc.is_zero():
+        out.pop(key, None)
+    else:
+        out[key] = acc
 
 
 def wedge_indices(left: tuple, right: tuple):
@@ -92,10 +102,7 @@ class _Alternating:
                 raise DimensionError("coefficient variable count mismatch")
             if poly.is_zero():
                 continue
-            acc = canon.get(idx)
-            canon[idx] = poly if acc is None else acc + poly
-            if canon[idx].is_zero():
-                del canon[idx]
+            _accumulate(canon, idx, poly)
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "terms", canon)
@@ -142,12 +149,7 @@ class _Alternating:
             raise DimensionError(f"cannot add degrees {self.degree} and {other.degree}")
         out = dict(self.terms)
         for idx, poly in other.terms.items():
-            acc = out.get(idx)
-            acc = poly if acc is None else acc + poly
-            if acc.is_zero():
-                out.pop(idx, None)
-            else:
-                out[idx] = acc
+            _accumulate(out, idx, poly)
         return type(self)._raw(self.nvars, self.degree, out)
 
     def __neg__(self):
@@ -187,12 +189,7 @@ class _Alternating:
                     continue
                 sign, idx = merged
                 piece = (p1 * p2).scale(sign)
-                acc = out.get(idx)
-                acc = piece if acc is None else acc + piece
-                if acc.is_zero():
-                    out.pop(idx, None)
-                else:
-                    out[idx] = acc
+                _accumulate(out, idx, piece)
         return type(self)._raw(self.nvars, total, out)
 
     def __eq__(self, other) -> bool:
@@ -259,12 +256,7 @@ class Form(_Alternating):
                     continue
                 sign, key = merged
                 piece = dp.scale(sign)
-                acc = out.get(key)
-                acc = piece if acc is None else acc + piece
-                if acc.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = acc
+                _accumulate(out, key, piece)
         return Form._raw(self.nvars, self.degree + 1, out)
 
     @classmethod
@@ -474,12 +466,7 @@ def interior_product(field, omega: Form):
                 continue
             key = tuple(i for i in idx_i if i not in idx_j)
             piece = (a * b).scale(sign)
-            acc = out.get(key)
-            acc = piece if acc is None else acc + piece
-            if acc.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = acc
+            _accumulate(out, key, piece)
     return Form._raw(omega.nvars, q - k, out)
 
 
@@ -488,8 +475,3 @@ def lie_derivative(vector: MultiVector, omega: Form) -> Form:
     if vector.degree != 1:
         raise DimensionError("lie_derivative expects a degree-1 field")
     return interior_product(vector, omega.d()) + interior_product(vector, omega).d()
-
-
-def form_basis(nvars: int, degree: int):
-    """Strictly increasing index tuples of the given degree."""
-    return list(combinations(range(nvars), degree))

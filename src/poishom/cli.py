@@ -29,7 +29,6 @@ import sys
 from fractions import Fraction
 
 from .calculus import MultiVector
-from .complexes import graded_weight_shift
 from .errors import (
     GradedModeError,
     JacobiError,
@@ -39,7 +38,7 @@ from .errors import (
     SchemaError,
     FlatnessError,
 )
-from .homology import betti_table, structure_digest, verify_duality
+from .homology import betti_table, spec_digest, verify_duality
 from .pmodule import PoissonModule, flatness_defect, twist
 from .poisson import PoissonStructure, VolumeForm
 from .poly import Poly
@@ -74,11 +73,20 @@ def _parse_poly(text, variables, path):
         raise SchemaError(path, str(exc)) from exc
 
 
+def _unique_keys(pairs):
+    """``object_pairs_hook`` that refuses a key repeated within one object."""
+    data = {}
+    for key, value in pairs:
+        _require(key not in data, key, "duplicate key")
+        data[key] = value
+    return data
+
+
 def load(path: str) -> ProblemSpec:
     """Load and fully validate a problem file."""
     with open(path, "r", encoding="utf-8") as handle:
         try:
-            data = json.load(handle)
+            data = json.load(handle, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as exc:
             raise SchemaError(path, f"invalid JSON: {exc}") from exc
     _require(isinstance(data, dict), "$", "top level must be an object")
@@ -106,6 +114,8 @@ def load(path: str) -> ProblemSpec:
             raise SchemaError(f"poisson.{key}", "indices must be integers")
         _require(1 <= i <= n and 1 <= j <= n, f"poisson.{key}", "index out of range")
         _require(i < j, f"poisson.{key}", "indices must be increasing (i < j)")
+        _require((i - 1, j - 1) not in components, f"poisson.{key}",
+                 f"duplicate pair {i},{j}")
         components[(i - 1, j - 1)] = _parse_poly(text, variables, f"poisson.{key}")
     structure = PoissonStructure.from_components(n, components, require_jacobi=False)
 
@@ -205,9 +215,10 @@ def _poisson_field_witness_payload(witness, names):
 class _Run:
     """Collects results and witnesses for one CLI invocation."""
 
-    def __init__(self, command, problem: ProblemSpec):
-        self.command = command
+    def __init__(self, args, problem: ProblemSpec):
+        self.args = args
         self.problem = problem
+        self.module = None  # the working module, once the input gate passes
         self.names = problem.variables
         self.results = {}
         self.witnesses = []
@@ -218,11 +229,15 @@ class _Run:
         self.exit_code = EXIT_MATH
 
     def report(self):
+        problem = self.problem
+        params = {name: getattr(self.args, name) for name in ("max_weight", "trials", "seed")
+                  if hasattr(self.args, name)}
+        if self.module is None and isinstance(problem.twist_spec, MultiVector):
+            params["twist"] = problem.twist_spec.text()  # its witness depends on it
+        module = problem.module if self.module is None else self.module
         return {
-            "command": self.command,
-            "spec_digest": structure_digest(
-                self.problem.structure, self.problem.module, self.problem.volume
-            ),
+            "command": self.args.command,
+            "spec_digest": spec_digest(problem.structure, module, problem.volume, params),
             "results": self.results,
             "witnesses": self.witnesses,
             "generated_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
@@ -232,8 +247,9 @@ class _Run:
 def _verify_inputs(run: _Run, need_twist: bool = True):
     """Jacobi + flatness (+ twist validity) gate shared by all commands.
 
-    Returns (structure, working module, modular-or-None) or None after
-    recording witnesses; the working module has the file's twist applied.
+    Returns (structure, working module) and records the working module on
+    ``run``, or returns None after recording witnesses. The working module
+    has the file's twist applied when ``need_twist`` is set.
     """
     problem = run.problem
     structure = problem.structure
@@ -259,6 +275,7 @@ def _verify_inputs(run: _Run, need_twist: bool = True):
                 run.fail(_poisson_field_witness_payload(defect, names))
                 return None
         module = twist(module, structure, phi)
+    run.module = module
     return structure, module
 
 
@@ -282,7 +299,7 @@ def _cmd_modular(run: _Run, args):
         phi.evaluate(structure.coordinate(i)) for i in range(structure.nvars)
     ]
     run.results["modular_field"] = _poly_list(components, run.names)
-    run.results["is_poisson_vector_field"] = structure.is_poisson_vector_field(phi)
+    run.results["is_poisson_vector_field"] = structure.poisson_field_defect(phi) is None
 
 
 def _cmd_betti(run: _Run, args, kind):
@@ -404,7 +421,7 @@ def main(argv=None) -> int:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
-    run = _Run(args.command, problem)
+    run = _Run(args, problem)
     try:
         if args.command == "check":
             _cmd_check(run, args)

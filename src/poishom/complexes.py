@@ -39,6 +39,7 @@ from .calculus import (
     ModuleCochainElement,
     MultiVector,
     interior_product,
+    subset_sign,
 )
 from .errors import DimensionError, GradedModeError, PoishomError
 from .pmodule import PoissonModule, bracket_vector
@@ -49,7 +50,7 @@ from .poly import Poly, monomials_of_degree
 def _check_pair(structure: PoissonStructure, module: PoissonModule, element):
     structure._require_jacobi()
     if not module.flat_verified:
-        raise PoishomError("module is not flat-verified; run verify_flat first")
+        raise PoishomError("module is not flat-verified; construct it with structure= first")
     if module.nvars != structure.nvars or element.nvars != module.nvars:
         raise DimensionError("mismatched variable counts")
     if element.rank != module.rank:
@@ -154,6 +155,18 @@ def blacktriangle(mu: VolumeForm, element: ModuleCochainElement) -> ModuleChainE
 def blacktriangle_inverse(mu: VolumeForm, element: ModuleChainElement) -> ModuleCochainElement:
     k = element.nvars - element.degree
     return star_inverse(mu, element).scale(_triangle_sign(k))
+
+
+def blacktriangle_basis(mu: VolumeForm, n: int, entry: BasisElement):
+    """``blacktriangle`` of one cochain basis vector, as (chain basis vector, coefficient).
+
+    (a, I, alpha) goes to (a, complement of I, alpha), scaled by mu, the
+    shuffle sign of I inside (1..n) and the sign of ``blacktriangle``.
+    """
+    top = tuple(range(n))
+    complement = tuple(i for i in top if i not in entry.indices)
+    sign = subset_sign(entry.indices, top) * _triangle_sign(len(entry.indices))
+    return BasisElement(entry.section, complement, entry.exponents), mu.coefficient * sign
 
 
 # ----------------------------------------------------------------------
@@ -270,6 +283,23 @@ class ComplexSlice:
         return "\n".join(lines)
 
 
+def basis_image(structure: PoissonStructure, module: PoissonModule, kind: str,
+                degree: int, entry: BasisElement) -> dict:
+    """Image of one basis vector under the differential, as {BasisElement: Fraction}.
+
+    Slice assembly and the chain-level duality check both read the
+    differentials through this function.
+    """
+    differential = cochain_differential if kind == "cochain" else chain_differential
+    image = differential(structure, module, element_from_basis(module, kind, degree, entry))
+    return {
+        BasisElement(a, idx, exps): coeff
+        for a, comp in enumerate(image.components)
+        for idx, poly in comp.terms.items()
+        for exps, coeff in poly.terms.items()
+    }
+
+
 def assemble_slice(structure: PoissonStructure, module: PoissonModule,
                    kind: str, degree: int, weight: int) -> ComplexSlice:
     """Matrix of the differential leaving slice (degree, weight)."""
@@ -279,20 +309,14 @@ def assemble_slice(structure: PoissonStructure, module: PoissonModule,
     codomain = slice_basis(module, kind, codomain_degree, weight + shift)
     index = {entry: row for row, entry in enumerate(codomain)}
     matrix = [[Fraction(0)] * len(domain) for _ in codomain]
-    differential = cochain_differential if kind == "cochain" else chain_differential
     for col, entry in enumerate(domain):
-        element = element_from_basis(module, kind, degree, entry)
-        image = differential(structure, module, element)
-        for a, comp in enumerate(image.components):
-            for idx, poly in comp.terms.items():
-                for exps, coeff in poly.terms.items():
-                    key = BasisElement(a, idx, exps)
-                    row = index.get(key)
-                    if row is None:
-                        raise GradedModeError(
-                            f"image of {entry} leaves the expected slice at {key}"
-                        )
-                    matrix[row][col] += coeff
+        for key, coeff in basis_image(structure, module, kind, degree, entry).items():
+            row = index.get(key)
+            if row is None:
+                raise GradedModeError(
+                    f"image of {entry} leaves the expected slice at {key}"
+                )
+            matrix[row][col] = coeff
     return ComplexSlice(
         kind, degree, weight, tuple(domain), tuple(codomain),
         tuple(tuple(row) for row in matrix),

@@ -56,7 +56,7 @@ class PoissonModule:
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "brackets", brackets)
         if structure is not None:
-            witness = flatness_defect_unverified(self, structure)
+            witness = flatness_defect(self, structure)
             if witness is not None:
                 raise FlatnessError(witness)
             flat_verified = True
@@ -73,15 +73,6 @@ class PoissonModule:
         zero = Poly.zero(nvars)
         m = tuple(tuple(tuple(zero for _ in range(rank)) for _ in range(rank)) for _ in range(nvars))
         return cls(nvars, rank, m, flat_verified=True)
-
-    def section(self, a: int) -> ModuleChainElement:
-        """The basis section e_a as a degree-0 chain element."""
-        one = Form.from_function(Poly.constant(self.nvars, 1))
-        return ModuleChainElement.single(self.rank, a, one)
-
-    def section_bracket(self, a: int, i: int) -> tuple:
-        """{e_a, x_i}_W as a coefficient vector."""
-        return tuple(self.brackets[i][a][b] for b in range(self.rank))
 
     def module_fields(self):
         """The W-valued vector fields {e_a,-}_W, as vectors v[a][b] of fields.
@@ -200,14 +191,15 @@ def module_bracket(module: PoissonModule, structure: PoissonStructure,
     return ModuleChainElement([Form.from_function(p) for p in result], degree=0)
 
 
-def flatness_defect_unverified(module: PoissonModule, structure: PoissonStructure):
-    """Flatness witness (a, i, j, discrepancy) or None; ignores flags.
+def flatness_defect(module: PoissonModule, structure: PoissonStructure):
+    """Flatness witness (a, i, j, discrepancy) or None; ignores ``flat_verified``.
 
     The discrepancy is oriented as
         {e_a,{x_i,x_j}}_W - {{e_a,x_i}_W,x_j}_W + {{e_a,x_j}_W,x_i}_W,
     each side expanded with the same Leibniz extension used everywhere else.
     Coordinate pairs suffice by the Leibniz axioms.
     """
+    structure._require_jacobi()
     if module.nvars != structure.nvars:
         raise DimensionError("mismatched variable counts")
     n, r = module.nvars, module.rank
@@ -233,43 +225,26 @@ def flatness_defect_unverified(module: PoissonModule, structure: PoissonStructur
     return None
 
 
-def flatness_defect(module: PoissonModule, structure: PoissonStructure):
-    structure._require_jacobi()
-    return flatness_defect_unverified(module, structure)
-
-
-def check_flat(module: PoissonModule, structure: PoissonStructure) -> bool:
-    return flatness_defect(module, structure) is None
-
-
-def verify_flat(module: PoissonModule, structure: PoissonStructure) -> PoissonModule:
-    """Return a flat-verified copy, or raise FlatnessError with a witness."""
-    witness = flatness_defect(module, structure)
-    if witness is not None:
-        raise FlatnessError(witness)
-    return PoissonModule(module.nvars, module.rank, module.brackets, flat_verified=True)
-
-
 # ----------------------------------------------------------------------
 # twisting
 
 
-def twist(module: PoissonModule, structure: PoissonStructure, phi: MultiVector,
-          *, unchecked: bool = False) -> PoissonModule:
+def twist(module: PoissonModule, structure: PoissonStructure,
+          phi: MultiVector) -> PoissonModule:
     """Twist the bracket by a Poisson vector field: {w,f} + w phi(f).
 
     On bracket matrices this is B_i -> B_i + phi(x_i) I. The preconditions
-    (phi Poisson, module flat) are enforced eagerly; ``unchecked=True`` is
-    the experimental escape hatch and leaves the result unverified.
+    (phi Poisson, module flat) are enforced eagerly.
     """
     if phi.nvars != module.nvars:
         raise DimensionError("mismatched variable counts")
-    if not unchecked:
-        structure.require_poisson_field(phi)
-        if not module.flat_verified:
-            witness = flatness_defect(module, structure)
-            if witness is not None:
-                raise FlatnessError(witness)
+    defect = structure.poisson_field_defect(phi)
+    if defect is not None:
+        raise PoissonFieldError(defect)
+    if not module.flat_verified:
+        witness = flatness_defect(module, structure)
+        if witness is not None:
+            raise FlatnessError(witness)
     n, r = module.nvars, module.rank
     new = []
     for i in range(n):
@@ -278,7 +253,7 @@ def twist(module: PoissonModule, structure: PoissonStructure, phi: MultiVector,
         for a in range(r):
             matrix[a][a] = matrix[a][a] + value
         new.append(tuple(tuple(row) for row in matrix))
-    return PoissonModule(n, r, tuple(new), flat_verified=not unchecked)
+    return PoissonModule(n, r, tuple(new), flat_verified=True)
 
 
 def elw_connection(structure: PoissonStructure, mu: VolumeForm) -> PoissonModule:
@@ -303,4 +278,4 @@ def elw_connection(structure: PoissonStructure, mu: VolumeForm) -> PoissonModule
         gamma = nabla.coefficient(top).scale(1 / mu.coefficient)
         gammas.append(((gamma,),))
     module = PoissonModule.from_connection(n, 1, tuple(gammas))
-    return verify_flat(module, structure)
+    return PoissonModule(n, 1, module.brackets, structure=structure)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .calculus import Form, MultiVector, interior_product, lie_derivative
-from .errors import DimensionError, JacobiError, PoissonFieldError
+from .errors import DimensionError, JacobiError
 from .poly import Poly
 
 
@@ -115,9 +115,6 @@ class PoissonStructure:
                         return (i, j, k, jac)
         return None
 
-    def check_jacobi(self) -> bool:
-        return self.jacobi_verified
-
     def _require_jacobi(self):
         if not self.jacobi_verified:
             raise JacobiError(self.jacobi_witness)
@@ -130,25 +127,11 @@ class PoissonStructure:
             raise DimensionError("sharp expects a 1-form")
         if alpha.nvars != self.nvars:
             raise DimensionError("mismatched variable counts")
-        out = {}
-
-        def add(index, poly):
-            key = (index,)
-            acc = out.get(key)
-            acc = poly if acc is None else acc + poly
-            if acc.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = acc
-
+        terms = []  # the constructor sums repeated indices and drops zeros
         for (i, j), p in self.bivector.terms.items():
-            a_i = alpha.coefficient((i,))
-            a_j = alpha.coefficient((j,))
-            if not a_i.is_zero():
-                add(j, p * a_i)
-            if not a_j.is_zero():
-                add(i, -(p * a_j))
-        return MultiVector(self.nvars, 1, out)
+            terms.append(((j,), p * alpha.coefficient((i,))))
+            terms.append(((i,), -(p * alpha.coefficient((j,)))))
+        return MultiVector(self.nvars, 1, terms)
 
     def hamiltonian(self, f: Poly) -> MultiVector:
         """X_f = -pi#(df); as a derivation X_f(g) = {g,f}."""
@@ -207,7 +190,9 @@ class PoissonStructure:
 
         phi is Poisson iff phi({f,g}) = {phi f, g} + {f, phi g}; checking
         coordinate pairs suffices because the defect is a biderivation.
+        Raises JacobiError when the structure itself fails Jacobi.
         """
+        self._require_jacobi()
         if phi.degree != 1 and not phi.is_zero():
             raise DimensionError("expected a vector field (degree 1)")
         if phi.nvars != self.nvars:
@@ -223,16 +208,6 @@ class PoissonStructure:
                 if not defect.is_zero():
                     return (i, j, defect)
         return None
-
-    def is_poisson_vector_field(self, phi: MultiVector) -> bool:
-        self._require_jacobi()
-        return self.poisson_field_defect(phi) is None
-
-    def require_poisson_field(self, phi: MultiVector):
-        self._require_jacobi()
-        defect = self.poisson_field_defect(phi)
-        if defect is not None:
-            raise PoissonFieldError(defect)
 
     # ------------------------------------------------------------------
 

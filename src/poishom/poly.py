@@ -176,12 +176,6 @@ class Poly:
             out[tuple(lowered)] = coeff * e
         return Poly._raw(self.nvars, out)
 
-    def total_degree(self):
-        """Maximal monomial degree, or ``None`` for the zero polynomial."""
-        if not self.terms:
-            return None
-        return max(sum(e) for e in self.terms)
-
     def homogeneous_degree(self):
         """The common monomial degree, ``None`` for zero.
 
@@ -193,9 +187,6 @@ class Poly:
         if len(degrees) > 1:
             raise ValueError(f"polynomial {self} is not homogeneous")
         return degrees.pop()
-
-    def is_homogeneous(self) -> bool:
-        return len({sum(e) for e in self.terms}) <= 1
 
     def weight_split(self) -> dict:
         """Split into homogeneous components, keyed by total degree."""
@@ -215,13 +206,6 @@ class Poly:
 
     def coefficient(self, exps: Sequence[int]) -> Fraction:
         return self.terms.get(tuple(exps), Fraction(0))
-
-    def constant_value(self) -> Fraction:
-        """The coefficient of the constant monomial."""
-        return self.terms.get((0,) * self.nvars, Fraction(0))
-
-    def is_constant(self) -> bool:
-        return all(sum(e) == 0 for e in self.terms)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Poly):

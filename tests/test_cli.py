@@ -89,6 +89,24 @@ def test_invalid_json_exits_3(tmp_path, capsys):
     assert main(["check", str(path)]) == EXIT_INPUT
 
 
+def test_duplicate_poisson_pair_exits_3(tmp_path, capsys):
+    # "1,2" and " 1, 2" name the same pair; neither may silently win
+    path = write(
+        tmp_path, "pair.json",
+        {"variables": ["x", "y"], "poisson": {"1,2": "x*y", " 1, 2": "1"}, "volume": "1"},
+    )
+    assert main(["check", path]) == EXIT_INPUT
+    assert "poisson. 1, 2: duplicate pair 1,2" in capsys.readouterr().err
+
+
+def test_repeated_json_key_exits_3(tmp_path, capsys):
+    path = tmp_path / "repeated.json"
+    path.write_text('{"variables": ["x", "y"], "poisson": {"1,2": "x*y", "1,2": "1"}, '
+                    '"volume": "1"}')
+    assert main(["check", str(path)]) == EXIT_INPUT
+    assert "1,2: duplicate key" in capsys.readouterr().err
+
+
 # ----------------------------------------------------------------------
 # commands and exit codes
 
@@ -205,6 +223,24 @@ def test_duality_so3_ok(capsys):
     assert code == EXIT_OK
     report = json.loads(capsys.readouterr().out)
     assert report["results"]["duality"]["modular_field"] == ["0", "0", "0"]
+
+
+def test_spec_digest_covers_twist_and_run_parameters(tmp_path, capsys):
+    # HP^2 of quadratic.json differs with and without its modular twist
+    payload = json.loads((PROBLEMS / "quadratic.json").read_text())
+    del payload["twist"]
+    untwisted = write(tmp_path, "untwisted.json", payload)
+
+    def digest(*argv):
+        main([*argv, "--format", "json"])
+        return json.loads(capsys.readouterr().out)["spec_digest"]
+
+    twisted = str(PROBLEMS / "quadratic.json")
+    assert digest("cohomology", twisted) != digest("cohomology", untwisted)
+    assert digest("cohomology", twisted) != digest("cohomology", twisted, "--max-weight", "5")
+    main(["duality", twisted, "--max-weight", "2", "--trials", "3", "--format", "json"])
+    report = json.loads(capsys.readouterr().out)
+    assert report["spec_digest"] == report["results"]["duality"]["spec_digest"]
 
 
 def test_duality_json_deterministic_for_fixed_seed(capsys):

@@ -13,7 +13,9 @@ from poishom import (
     Poly,
     VolumeForm,
     assemble_slice,
+    basis_image,
     blacktriangle,
+    blacktriangle_basis,
     blacktriangle_inverse,
     chain_differential,
     cochain_differential,
@@ -27,6 +29,7 @@ from poishom import (
 from poishom.complexes import element_from_basis
 
 from catalog import (
+    chain_catalog,
     decomposable,
     generic2,
     p2,
@@ -330,6 +333,37 @@ def test_assemble_slice_deterministic():
     a = assemble_slice(P, W, "chain", 1, 3)
     b = assemble_slice(P, W, "chain", 1, 3)
     assert a.matrix == b.matrix and a.domain_basis == b.domain_basis
+
+
+def _rebuild(module, kind, degree, image):
+    """The object-level element with the basis coefficients ``image``, or None."""
+    parts = [element_from_basis(module, kind, degree, key).scale(c) for key, c in image.items()]
+    return sum(parts[1:], parts[0]) if parts else None
+
+
+def test_basis_maps_match_object_level_on_catalog():
+    # every catalog basis vector up to weight 3, both differentials and
+    # blacktriangle, against the object-level reference
+    for _, P, W, _ in chain_catalog():
+        n = P.nvars
+        for k in range(n + 1):
+            for w in range(-n, 4):
+                for kind, differential in (("cochain", cochain_differential),
+                                           ("chain", chain_differential)):
+                    for entry in slice_basis(W, kind, k, w):
+                        element = element_from_basis(W, kind, k, entry)
+                        expected = differential(P, W, element)
+                        image = basis_image(P, W, kind, k, entry)
+                        assert all(image.values())
+                        rebuilt = _rebuild(W, kind, k + (1 if kind == "cochain" else -1), image)
+                        assert expected.is_zero() if rebuilt is None else rebuilt == expected
+                        if kind == "chain":
+                            continue
+                        for mu in (VolumeForm(), VolumeForm(Fraction(-3, 2))):
+                            target, coeff = blacktriangle_basis(mu, n, entry)
+                            assert blacktriangle(mu, element) == element_from_basis(
+                                W, "chain", n - k, target
+                            ).scale(coeff)
 
 
 def test_slice_export_text_contains_grid():

@@ -27,6 +27,7 @@ from poishom import (
 from poishom.calculus import ModuleCochainElement, MultiVector
 
 from catalog import (
+    generic2,
     p2,
     quadratic2,
     quadratic_rank2,
@@ -233,6 +234,30 @@ def test_verify_duality_elw_gives_untwisted_homology():
         )
         assert pair["homology_dim"] == direct
         assert pair["cohomology_dim"] == direct
+
+
+def test_verify_duality_reports_wrong_twist(monkeypatch):
+    # twisting by +phi instead of -phi breaks the square; each failing basis
+    # vector is reported with both object-level sides
+    from poishom import homology
+
+    right = homology.twist
+    monkeypatch.setattr(homology, "twist", lambda W, P, phi: right(W, P, -phi))
+    report = verify_duality(quadratic2(), PoissonModule.trivial(2, 1), VolumeForm(), 3, 0, 0)
+    assert report.diagram_total == 61
+    assert len(report.diagram_failures) == 40
+    assert report.betti_failures == 3
+    assert report.diagram_failures[0] == {
+        "degree": 0,
+        "element": "e1: 1",
+        "lhs": "e1: -2*x2*dx1 + -2*x1*dx2",
+        "rhs": "e1: 0",
+    }
+    assert not report.ok()
+    # non-graded mode goes through the same comparison
+    report = verify_duality(generic2(), PoissonModule.trivial(2, 1), VolumeForm(), 3, 0, 0)
+    assert not report.graded and len(report.diagram_failures) == 40
+    assert report.diagram_failures[0]["lhs"] == "e1: -4*x1*x2*dx1 + -2*x1^2*dx2"
 
 
 def test_verify_duality_nongraded_skips_betti():

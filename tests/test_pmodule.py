@@ -10,12 +10,10 @@ from poishom import (
     PoissonModule,
     Poly,
     VolumeForm,
-    check_flat,
     elw_connection,
     flatness_defect,
     module_bracket,
     twist,
-    verify_flat,
 )
 from poishom.pmodule import bracket_vector
 
@@ -114,27 +112,29 @@ def test_right_lie_module_axiom_random_when_flat():
 
 
 def test_trivial_module_flat_for_constant_bracket():
-    assert check_flat(PoissonModule.trivial(2, 1), symplectic2())
+    assert flatness_defect(PoissonModule.trivial(2, 1), symplectic2()) is None
 
 
 def test_flat_example_b_x_equals_y():
     P = symplectic2()
-    assert check_flat(rank1(P, "y", "0"), P)
+    assert flatness_defect(rank1(P, "y", "0"), P) is None
 
 
 def test_non_flat_example_with_witness():
     P = symplectic2()
     W = rank1(P, "x", "0")
-    assert not check_flat(W, P)
+    assert flatness_defect(W, P) is not None
     a, i, j, disc = flatness_defect(W, P)
     assert (a, i, j) == (0, 0, 1)
     assert disc == (p2("-1"),)  # {e,{x,y}} - {{e,x},y} + {{e,y},x} = -e
 
 
-def test_verify_flat_raises_with_witness():
+def test_flatness_gate_raises_with_witness():
     P = symplectic2()
-    with pytest.raises(FlatnessError):
-        verify_flat(rank1(P, "x", "0"), P)
+    W = rank1(P, "x", "0")
+    with pytest.raises(FlatnessError) as info:
+        PoissonModule(2, 1, W.brackets, structure=P)
+    assert info.value.witness == flatness_defect(W, P)
 
 
 def test_catalog_modules_are_flat():
@@ -143,7 +143,7 @@ def test_catalog_modules_are_flat():
         (quadratic2(), quadratic_rank2(quadratic2())),
         (so3(), so3_rank2(so3())),
     ]:
-        assert W.flat_verified and check_flat(W, P)
+        assert W.flat_verified and flatness_defect(W, P) is None
 
 
 def test_zero_structure_flat_iff_matrices_commute():
@@ -154,14 +154,14 @@ def test_zero_structure_flat_iff_matrices_commute():
             ((p2("0"), p2("1")), (p2("0"), p2("0"))),
         )
     )
-    assert check_flat(commuting, P)
+    assert flatness_defect(commuting, P) is None
     noncommuting = PoissonModule(
         2, 2, (
             ((p2("0"), p2("1")), (p2("0"), p2("0"))),
             ((p2("0"), p2("0")), (p2("1"), p2("0"))),
         )
     )
-    assert not check_flat(noncommuting, P)
+    assert flatness_defect(noncommuting, P) is not None
 
 
 # ----------------------------------------------------------------------
@@ -216,9 +216,6 @@ def test_twist_requires_poisson_field():
     euler = MultiVector(2, 1, {(0,): p2("x")})
     with pytest.raises(PoissonFieldError):
         twist(PoissonModule.trivial(2, 1), P, euler)
-    # escape hatch leaves the result unverified
-    unchecked = twist(PoissonModule.trivial(2, 1), P, euler, unchecked=True)
-    assert not unchecked.flat_verified
 
 
 def test_twist_requires_flat_module():
@@ -239,7 +236,7 @@ def test_twist_preserves_flatness_random():
             f = rand_poly(rng, P.nvars, 3, 2)
             phi = P.hamiltonian(f)
             twisted = twist(W, P, phi)
-            assert check_flat(twisted, P)
+            assert flatness_defect(twisted, P) is None
 
 
 # ----------------------------------------------------------------------

@@ -64,12 +64,12 @@ def test_bracket_bilinear_antisymmetric_leibniz():
 
 
 def test_so3_passes_jacobi():
-    assert so3().check_jacobi()
+    assert so3().jacobi_verified
 
 
 def test_nonjacobi_witness_and_jacobiator():
     P = nonjacobi3()
-    assert not P.check_jacobi()
+    assert not P.jacobi_verified
     i, j, k, jac = P.jacobi_witness
     assert (i, j, k) == (0, 1, 2)
     assert jac == p3("1")
@@ -83,7 +83,7 @@ def test_jacobi_error_raised_eagerly():
 
 
 def test_zero_structure_is_poisson():
-    assert zero2().check_jacobi()
+    assert zero2().jacobi_verified
 
 
 def test_jacobi_holds_on_random_functions_when_verified():
@@ -203,7 +203,7 @@ def test_modular_field_satisfies_both_definitions(make):
 def test_modular_field_is_poisson_vector_field():
     for make in (symplectic2, quadratic2, so3, generic2):
         P = make()
-        assert P.is_poisson_vector_field(P.modular_vector_field(VolumeForm()))
+        assert P.poisson_field_defect(P.modular_vector_field(VolumeForm())) is None
 
 
 # ----------------------------------------------------------------------
@@ -211,16 +211,21 @@ def test_modular_field_is_poisson_vector_field():
 
 
 def test_constant_field_on_constant_structure_is_poisson():
-    assert symplectic2().is_poisson_vector_field(field2("1", "0"))
+    assert symplectic2().poisson_field_defect(field2("1", "0")) is None
 
 
 def test_euler_like_field_fails_with_witness():
     P = symplectic2()
     phi = field2("x", "0")
-    assert not P.is_poisson_vector_field(phi)
+    assert P.poisson_field_defect(phi) is not None
     i, j, defect = P.poisson_field_defect(phi)
     assert (i, j) == (0, 1)
     assert defect == p2("-1")  # phi{x,y} - {phi x,y} - {x,phi y} = 0 - 1
+
+
+def test_poisson_field_defect_requires_jacobi():
+    with pytest.raises(JacobiError):
+        nonjacobi3().poisson_field_defect(MultiVector.zero(3, 1))
 
 
 def test_hamiltonian_fields_are_poisson():
@@ -229,7 +234,7 @@ def test_hamiltonian_fields_are_poisson():
         P = make()
         for _ in range(20):
             f = rand_poly(rng, P.nvars, 3, 2)
-            assert P.is_poisson_vector_field(P.hamiltonian(f))
+            assert P.poisson_field_defect(P.hamiltonian(f)) is None
 
 
 def test_volume_form_requires_nonzero_coefficient():
