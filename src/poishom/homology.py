@@ -1,9 +1,12 @@
 """Exact ranks, Betti numbers per weight, and the duality verifier.
 
-Ranks are computed by fraction-free (Bareiss) elimination over integers
-after clearing row denominators, so no intermediate entry is ever rounded;
-a wrong rank would falsify the duality theorems spuriously, which is why
-no modular-arithmetic shortcut is taken.
+Slice matrices are very sparse and split into many small blocks, so
+``matrix_rank`` keeps each nonzero row as a sparse primitive integer row,
+splits the rows by union-find into the connected components of the
+row/column incidence graph, and eliminates each block fraction-free over
+Python ints with Markowitz-style pivots. No intermediate entry is ever
+rounded; a wrong rank would falsify the duality theorems spuriously, which
+is why no floating-point or modular-arithmetic shortcut is taken.
 """
 
 from __future__ import annotations
@@ -35,36 +38,84 @@ from .poisson import PoissonStructure, VolumeForm
 from .poly import Poly, monomials_of_degree
 
 
+def _primitive(row: dict) -> dict:
+    """A sparse integer row divided by its content (the gcd of its entries)."""
+    content = math.gcd(*row.values())
+    return {j: c // content for j, c in row.items()} if content > 1 else row
+
+
+def _blocks(rows):
+    """Group sparse rows into the connected components of the row/column
+    incidence graph (union-find over columns)."""
+    parent = {}
+
+    def find(j):
+        root = parent.setdefault(j, j)
+        while parent[root] != root:
+            root = parent[root]
+        while parent[j] != root:  # path compression
+            parent[j], j = root, parent[j]
+        return root
+
+    for row in rows:
+        first, *rest = map(find, row)
+        for root in rest:
+            if root != first:
+                parent[root] = first
+    blocks = {}
+    for row in rows:
+        blocks.setdefault(find(next(iter(row))), []).append(row)
+    return blocks.values()
+
+
+def _block_rank(rows) -> int:
+    """Rank of one block of primitive integer rows by sparse fraction-free
+    elimination with Markowitz-style pivoting."""
+    rank = 0
+    while rows:
+        pivot = rows.pop(min(range(len(rows)), key=lambda i: len(rows[i])))
+        col = min(pivot, key=lambda j: sum(j in row for row in rows))
+        lead = pivot[col]
+        rank += 1
+        reduced = []
+        for row in rows:
+            entry = row.get(col)
+            if entry:
+                row = {j: lead * c for j, c in row.items()}
+                for j, c in pivot.items():
+                    c = row.get(j, 0) - entry * c
+                    if c:
+                        row[j] = c
+                    else:
+                        del row[j]
+                if not row:
+                    continue
+                row = _primitive(row)
+            reduced.append(row)
+        rows = reduced
+    return rank
+
+
 def matrix_rank(matrix) -> int:
-    """Exact rank of a rational matrix by fraction-free elimination."""
+    """Exact rank of a rational matrix given as dense rows.
+
+    Each nonzero row becomes a sparse primitive integer row. Rows that share
+    no column, directly or through other rows, cannot affect each other's
+    pivots, so the rows are split into such blocks and the block ranks are
+    added. Within a block, the row with the fewest nonzeros is the pivot
+    row and its column found in the fewest remaining rows is the pivot
+    column (Markowitz-style, to limit fill-in); every row meeting that
+    column becomes lead*row - entry*pivot_row, divided by its content.
+    """
     rows = []
     for row in matrix:
-        row = [Fraction(c) for c in row]
-        if any(row):
-            lcm = math.lcm(*(c.denominator for c in row))
-            rows.append([int(c * lcm) for c in row])
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
-    prev = 1
-    for col in range(ncols):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        lead = rows[rank][col]
-        for i in range(rank + 1, len(rows)):
-            entry = rows[i][col]
-            for j in range(col + 1, ncols):
-                # Bareiss one-step update; the division is exact
-                rows[i][j] = (rows[i][j] * lead - entry * rows[rank][j]) // prev
-            rows[i][col] = 0
-        prev = lead
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
+        entries = [(j, Fraction(c)) for j, c in enumerate(row) if c]
+        if entries:
+            scale = math.lcm(*(c.denominator for _, c in entries))
+            rows.append(_primitive(
+                {j: c.numerator * (scale // c.denominator) for j, c in entries}
+            ))
+    return sum(_block_rank(block) for block in _blocks(rows))
 
 
 def _ranked(cache, module, piece):

@@ -20,6 +20,10 @@ from .errors import DimensionError, ParseError
 
 Exponents = tuple  # tuple[int, ...] of length nvars
 
+# Largest exponent and total degree the parser builds; beyond it, expanding
+# the input or enumerating its weight slices would not finish.
+MAX_PARSE_DEGREE = 32
+
 
 def _as_fraction(value) -> Fraction:
     if isinstance(value, Fraction):
@@ -273,7 +277,9 @@ class Poly:
             term   := factor ('*' factor)*
             factor := rational | name ['^' nat] | '(' expr ')' ['^' nat]
 
-        with ``rational := int ['/' nat]``.
+        with ``rational := int ['/' nat]``. A power or product whose degree
+        would exceed ``MAX_PARSE_DEGREE`` (a power of a constant counting
+        as degree 1) raises ``ParseError`` before anything is multiplied.
         """
         return _Parser(text, variables).parse()
 
@@ -346,7 +352,10 @@ class _Parser:
         acc = self._factor()
         while self._peek() == "*":
             self.pos += 1
-            acc = acc * self._factor()
+            start = self.pos
+            factor = self._factor()
+            _check_degree(_degree(acc) + _degree(factor), start)
+            acc = acc * factor
         return acc
 
     def _factor(self) -> Poly:
@@ -380,8 +389,20 @@ class _Parser:
     def _maybe_power(self, base: Poly) -> Poly:
         if self._peek() == "^":
             self.pos += 1
-            return base ** self._number()
+            start = self.pos
+            exponent = self._number()
+            _check_degree(max(_degree(base), 1) * exponent, start)
+            return base**exponent
         return base
+
+
+def _degree(poly: Poly) -> int:
+    return max(map(sum, poly.terms), default=0)
+
+
+def _check_degree(degree: int, position: int):
+    if degree > MAX_PARSE_DEGREE:
+        raise ParseError(f"degree {degree} exceeds the limit {MAX_PARSE_DEGREE}", position)
 
 
 def monomials_of_degree(nvars: int, degree: int):

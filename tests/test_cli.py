@@ -1,5 +1,6 @@
 import json
 from pathlib import Path
+from time import perf_counter
 
 import pytest
 
@@ -105,6 +106,31 @@ def test_repeated_json_key_exits_3(tmp_path, capsys):
                     '"volume": "1"}')
     assert main(["check", str(path)]) == EXIT_INPUT
     assert "1,2: duplicate key" in capsys.readouterr().err
+
+
+def _exits_3_within_a_second(argv, capsys):
+    start = perf_counter()
+    code = main(argv)
+    assert perf_counter() - start < 1.0
+    assert code == EXIT_INPUT
+    assert "exceeds the limit" in capsys.readouterr().err
+
+
+def test_oversized_power_exits_3_before_expanding(tmp_path, capsys):
+    path = write(
+        tmp_path, "power.json",
+        {"variables": ["x", "y", "z"], "poisson": {"1,2": "(x+y+z)^200"}, "volume": "1"},
+    )
+    _exits_3_within_a_second(["check", path], capsys)
+
+
+def test_oversized_exponent_exits_3_before_slicing(tmp_path, capsys):
+    path = write(
+        tmp_path, "exponent.json",
+        {"variables": ["x", "y", "z"], "poisson": {"1,2": "x^99999999999999999999"},
+         "volume": "1"},
+    )
+    _exits_3_within_a_second(["cohomology", path, "--max-weight", "2"], capsys)
 
 
 # ----------------------------------------------------------------------

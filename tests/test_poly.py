@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from poishom import DimensionError, ParseError, Poly
-from poishom.poly import monomials_of_degree
+from poishom.poly import MAX_PARSE_DEGREE, monomials_of_degree
 
 from catalog import XY, eval_poly, p2, rand_point, rand_poly
 
@@ -43,6 +43,16 @@ def test_parse_syntax_error_reports_position(text, pos_hint):
 def test_parse_unknown_variable():
     with pytest.raises(ParseError, match="unknown variable 'z'"):
         p2("x + z")
+
+
+def test_parse_degree_cap():
+    top = MAX_PARSE_DEGREE
+    assert p2(f"x^{top}") == Poly.monomial(2, (top, 0))
+    assert p2(f"x^{top // 2}*y^{top - top // 2}").homogeneous_degree() == top
+    for text in [f"x^{top + 1}", f"(2)^{top + 1}", f"x^{top}*y", f"(x*y)^{top // 2 + 1}",
+                 f"x*(x+y)^{top}"]:
+        with pytest.raises(ParseError, match="exceeds the limit"):
+            p2(text)
 
 
 def test_add_inverse_and_scale_zero():
