@@ -37,6 +37,7 @@ from .errors import (
     FlatnessError,
     GradedModeError,
     JacobiError,
+    ModularFieldError,
     ParseError,
     PoishomError,
     PoissonFieldError,
@@ -70,6 +71,7 @@ __all__ = [
     "Form",
     "GradedModeError",
     "JacobiError",
+    "ModularFieldError",
     "ModuleChainElement",
     "ModuleCochainElement",
     "MultiVector",

@@ -17,7 +17,9 @@ A ``twist`` entry transforms the coefficient module before any computation:
 an explicit component list is validated as a Poisson vector field first.
 
 Exit codes: 0 success, 1 mathematical check failed (witness reported),
-2 graded-mode/precondition violation, 3 input error.
+2 graded-mode/precondition violation, 3 input error. A reader that closes
+standard output early (``poishom ... | head``) does not change the exit
+code and causes no traceback.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -32,6 +35,7 @@ from .calculus import MultiVector
 from .errors import (
     GradedModeError,
     JacobiError,
+    ModularFieldError,
     ParseError,
     PoishomError,
     PoissonFieldError,
@@ -200,6 +204,17 @@ def _flatness_witness_payload(witness, names):
         "section": a + 1,
         "pair": [names[i], names[j]],
         "discrepancy": _poly_list(disc, names),
+    }
+
+
+def _modular_witness_payload(witness, names):
+    i, lhs, rhs = witness
+    top = tuple(range(len(names)))  # both sides are top forms
+    return {
+        "check": "modular_field",
+        "coordinate": names[i],
+        "lie_derivative": lhs.coefficient(top).text(names),
+        "expected": rhs.coefficient(top).text(names),
     }
 
 
@@ -433,6 +448,8 @@ def main(argv=None) -> int:
             _cmd_betti(run, args, "homology")
         elif args.command == "duality":
             _cmd_duality(run, args)
+    except ModularFieldError as exc:
+        run.fail(_modular_witness_payload(exc.witness, run.names))
     except GradedModeError as exc:
         print(f"graded-mode violation: {exc}", file=sys.stderr)
         return EXIT_MODE
@@ -445,9 +462,17 @@ def main(argv=None) -> int:
 
     report = run.report()
     if args.format == "json":
-        print(json.dumps(report, indent=2, sort_keys=True))
+        text = json.dumps(report, indent=2, sort_keys=True)
     else:
-        print(_render_table(report))
+        text = _render_table(report)
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader went away (``| head``): send what is left to devnull, so
+        # the flush at interpreter exit does not raise the same error again
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
     return run.exit_code
 
 

@@ -17,7 +17,12 @@ differential
                        + sum_{i<j} (-1)^{i+j} X({f_i,f_j}, .. ^f_i .. ^f_j ..).
 
 A multiderivation is determined by its values on coordinate tuples, so the
-implementation evaluates the formula there and reassembles the result.
+implementation evaluates the formula there and reassembles the result, but
+only on the tuples the support of X reaches: for f = x_J, a term of the
+first sum is nonzero only if J minus one index is an index tuple of X, and
+a term of the second only if J = rest + {p, q} with pi_pq nonzero and rest
+an index tuple of X minus one index (Brylinski, J. Differential Geom. 1988;
+Luo, Wang and Wu, J. Algebra 2015).
 
 Weight grading: weight(x_i) = weight(dx_i) = +1, weight(d/dx_i) = -1. When
 the bivector is homogeneous of coefficient degree d and every bracket entry
@@ -30,6 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from typing import NamedTuple
 
@@ -38,6 +44,7 @@ from .calculus import (
     ModuleChainElement,
     ModuleCochainElement,
     MultiVector,
+    _accumulate,
     interior_product,
     subset_sign,
 )
@@ -80,35 +87,54 @@ def chain_differential(structure: PoissonStructure, module: PoissonModule,
     return out
 
 
+@lru_cache(maxsize=None)
+def _coordinates(nvars: int) -> tuple:
+    """The coordinate functions x_1..x_n, built once per ``nvars`` (a Poly is immutable)."""
+    return tuple(Poly.variable(nvars, i) for i in range(nvars))
+
+
 def cochain_differential(structure: PoissonStructure, module: PoissonModule,
                          element: ModuleCochainElement) -> ModuleCochainElement:
-    """Degree +1 differential of the cochain complex with coefficients."""
+    """Degree +1 differential of the cochain complex with coefficients.
+
+    Only the output tuples J that the support of X reaches are visited.
+    The first sum contributes to J = K + {j} for an index tuple K of X,
+    with X(x_K) read off the components; the second to J = rest + {p, q}
+    for a term pi_pq of the bivector, where rest is K minus one index
+    (X(pi_pq, x_rest) vanishes unless rest lies inside some K).
+    """
     _check_pair(structure, module, element)
     n, r, k = element.nvars, element.rank, element.degree
     if k >= n:
         return ModuleCochainElement.zero(r, n, n)
-    coords = [structure.coordinate(i) for i in range(n)]
+    coords = _coordinates(n)
+    zero = Poly.zero(n)
+    support = sorted({idx for comp in element.components for idx in comp.terms})
     out_terms: list[dict] = [{} for _ in range(r)]
-    for tup in combinations(range(n), k + 1):
-        value = [Poly.zero(n) for _ in range(r)]
-        for t, i in enumerate(tup):
-            rest = [coords[j] for j in tup if j != i]
-            evaluated = element.evaluate(*rest)
-            bracketed = bracket_vector(module, structure, evaluated, coords[i])
-            sign = -1 if t % 2 == 0 else 1  # (-1)**(t+1) for 0-based t
-            for b in range(r):
-                value[b] = value[b] + bracketed[b].scale(sign)
-        for s in range(k + 1):
-            for t in range(s + 1, k + 1):
-                first = structure.bracket(coords[tup[s]], coords[tup[t]])
-                rest = [coords[tup[u]] for u in range(k + 1) if u not in (s, t)]
-                evaluated = element.evaluate(first, *rest)
-                sign = 1 if (s + t) % 2 == 0 else -1  # (-1)**((s+1)+(t+1))
-                for b in range(r):
-                    value[b] = value[b] + evaluated[b].scale(sign)
-        for b in range(r):
-            if not value[b].is_zero():
-                out_terms[b][tup] = value[b]
+
+    def add(tup, values, sign):
+        for b, piece in enumerate(values):
+            if not piece.is_zero():
+                _accumulate(out_terms[b], tup, piece if sign > 0 else -piece)
+
+    for idx in support:
+        value = tuple(comp.terms.get(idx, zero) for comp in element.components)
+        for j in range(n):
+            if j in idx:
+                continue
+            tup = tuple(sorted(idx + (j,)))
+            sign = -1 if tup.index(j) % 2 == 0 else 1  # (-1)**(t+1) for 0-based t
+            add(tup, bracket_vector(module, structure, value, coords[j]), sign)
+    rests = sorted({idx[:i] + idx[i + 1:] for idx in support for i in range(k)})
+    for rest in rests:
+        args = [coords[u] for u in rest]
+        for (p, q), pi_pq in structure.bivector.terms.items():
+            if p in rest or q in rest:
+                continue
+            tup = tuple(sorted(rest + (p, q)))
+            s, t = tup.index(p), tup.index(q)
+            sign = 1 if (s + t) % 2 == 0 else -1  # (-1)**((s+1)+(t+1))
+            add(tup, element.evaluate(pi_pq, *args), sign)
     return ModuleCochainElement(
         [MultiVector(n, k + 1, terms) for terms in out_terms], degree=k + 1
     )

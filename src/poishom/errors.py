@@ -79,5 +79,21 @@ class PoissonFieldError(PoishomError):
         self.witness = witness
 
 
+class ModularFieldError(PoishomError):
+    """The modular vector field failed its Lie-derivative cross-check.
+
+    ``witness`` is ``(i, lie_derivative, expected)``: the 0-based coordinate
+    and the two top forms L_{X_{x_i}} mu and phi(x_i) mu, which differ.
+    """
+
+    def __init__(self, witness):
+        i, lhs, rhs = witness
+        super().__init__(
+            f"modular field cross-check failed on coordinate {i + 1}: "
+            f"Lie derivative gives {lhs}, expected {rhs}"
+        )
+        self.witness = witness
+
+
 class GradedModeError(PoishomError):
     """Graded-mode requirement violated (non-homogeneous input data)."""

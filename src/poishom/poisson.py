@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .calculus import Form, MultiVector, interior_product, lie_derivative
-from .errors import DimensionError, JacobiError
+from .errors import DimensionError, JacobiError, ModularFieldError
 from .poly import Poly
 
 
@@ -156,7 +156,9 @@ class PoissonStructure:
         Solved by inverting the top-degree contraction: the coefficient of
         dx_{1..n drop i} in bnd(mu) equals (-1)^i u phi_i (0-based i).
         The result is cross-validated against the Lie-derivative
-        characterization L_{X_{x_i}} mu = phi(x_i) mu on every coordinate.
+        characterization L_{X_{x_i}} mu = phi(x_i) mu on every coordinate;
+        a disagreement raises ``ModularFieldError`` with the coordinate and
+        both sides.
         """
         self._require_jacobi()
         n = self.nvars
@@ -177,10 +179,7 @@ class PoissonStructure:
             lhs = lie_derivative(self.hamiltonian(x_i), mu_form)
             rhs = mu_form.scale(phi.evaluate(x_i))
             if lhs != rhs:
-                raise RuntimeError(
-                    "modular field cross-check failed on coordinate "
-                    f"{i + 1}: Lie derivative gives {lhs}, expected {rhs}"
-                )
+                raise ModularFieldError((i, lhs, rhs))
         return phi
 
     # ------------------------------------------------------------------

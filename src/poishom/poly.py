@@ -14,6 +14,7 @@ problem files use 1-based conventions.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DimensionError, ParseError
@@ -23,6 +24,11 @@ Exponents = tuple  # tuple[int, ...] of length nvars
 # Largest exponent and total degree the parser builds; beyond it, expanding
 # the input or enumerating its weight slices would not finish.
 MAX_PARSE_DEGREE = 32
+
+# Largest number of terms a product or power in the parser may create,
+# predicted from the operands before multiplying; beyond it, expanding the
+# input, and the Jacobi check (quadratic in the term count), run for minutes.
+MAX_PARSE_TERMS = 1000
 
 
 def _as_fraction(value) -> Fraction:
@@ -151,8 +157,9 @@ class Poly:
         while exponent:
             if exponent & 1:
                 result = result * base
-            base = base * base
             exponent >>= 1
+            if exponent:  # the square after the top bit would go unused
+                base = base * base
         return result
 
     def scale(self, value) -> "Poly":
@@ -279,7 +286,10 @@ class Poly:
 
         with ``rational := int ['/' nat]``. A power or product whose degree
         would exceed ``MAX_PARSE_DEGREE`` (a power of a constant counting
-        as degree 1) raises ``ParseError`` before anything is multiplied.
+        as degree 1), or whose predicted number of terms would exceed
+        ``MAX_PARSE_TERMS`` (t1*t2 for a product, C(t+e-1, e) for a t-term
+        base to the power e), raises ``ParseError`` before anything is
+        multiplied.
         """
         return _Parser(text, variables).parse()
 
@@ -355,6 +365,7 @@ class _Parser:
             start = self.pos
             factor = self._factor()
             _check_degree(_degree(acc) + _degree(factor), start)
+            _check_terms(len(acc.terms) * len(factor.terms), start)
             acc = acc * factor
         return acc
 
@@ -392,6 +403,9 @@ class _Parser:
             start = self.pos
             exponent = self._number()
             _check_degree(max(_degree(base), 1) * exponent, start)
+            # a t-term power has at most as many terms as there are
+            # monomials of degree e in t variables
+            _check_terms(comb(max(len(base.terms), 1) + exponent - 1, exponent), start)
             return base**exponent
         return base
 
@@ -403,6 +417,11 @@ def _degree(poly: Poly) -> int:
 def _check_degree(degree: int, position: int):
     if degree > MAX_PARSE_DEGREE:
         raise ParseError(f"degree {degree} exceeds the limit {MAX_PARSE_DEGREE}", position)
+
+
+def _check_terms(terms: int, position: int):
+    if terms > MAX_PARSE_TERMS:
+        raise ParseError(f"term count {terms} exceeds the limit {MAX_PARSE_TERMS}", position)
 
 
 def monomials_of_degree(nvars: int, degree: int):

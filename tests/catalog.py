@@ -22,6 +22,7 @@ from poishom import (
     VolumeForm,
     elw_connection,
 )
+from poishom.complexes import _check_pair
 from poishom.pmodule import bracket_vector
 
 XY = ["x", "y"]
@@ -298,6 +299,45 @@ def two_sum_chain_oracle(structure, module, wvec, f0, functions):
                 [tail.scale(g) for g in wvec], degree=max(r - 1, 0)
             )
     return out
+
+
+def cochain_differential_oracle(structure, module, element):
+    """The cochain differential evaluated on every (k+1)-subset of coordinates.
+
+    The defining formula, applied by brute force: for each coordinate tuple
+    J, every term of both sums is computed with ``evaluate`` and the
+    structure bracket, whether or not the support of X can reach J.
+    Independent of the support-driven loops of ``cochain_differential``.
+    """
+    _check_pair(structure, module, element)
+    n, r, k = element.nvars, element.rank, element.degree
+    if k >= n:
+        return ModuleCochainElement.zero(r, n, n)
+    coords = [structure.coordinate(i) for i in range(n)]
+    out_terms: list[dict] = [{} for _ in range(r)]
+    for tup in combinations(range(n), k + 1):
+        value = [Poly.zero(n) for _ in range(r)]
+        for t, i in enumerate(tup):
+            rest = [coords[j] for j in tup if j != i]
+            evaluated = element.evaluate(*rest)
+            bracketed = bracket_vector(module, structure, evaluated, coords[i])
+            sign = -1 if t % 2 == 0 else 1  # (-1)**(t+1) for 0-based t
+            for b in range(r):
+                value[b] = value[b] + bracketed[b].scale(sign)
+        for s in range(k + 1):
+            for t in range(s + 1, k + 1):
+                first = structure.bracket(coords[tup[s]], coords[tup[t]])
+                rest = [coords[tup[u]] for u in range(k + 1) if u not in (s, t)]
+                evaluated = element.evaluate(first, *rest)
+                sign = 1 if (s + t) % 2 == 0 else -1  # (-1)**((s+1)+(t+1))
+                for b in range(r):
+                    value[b] = value[b] + evaluated[b].scale(sign)
+        for b in range(r):
+            if not value[b].is_zero():
+                out_terms[b][tup] = value[b]
+    return ModuleCochainElement(
+        [MultiVector(n, k + 1, terms) for terms in out_terms], degree=k + 1
+    )
 
 
 def rank_oracle(rows) -> int:

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 from time import perf_counter
 
@@ -133,6 +136,24 @@ def test_oversized_exponent_exits_3_before_slicing(tmp_path, capsys):
     _exits_3_within_a_second(["cohomology", path, "--max-weight", "2"], capsys)
 
 
+def test_oversized_term_count_exits_3_before_expanding(tmp_path, capsys):
+    # within MAX_PARSE_DEGREE, but (a+...+f)^32 would have 435,897 terms
+    path = write(
+        tmp_path, "terms.json",
+        {"variables": ["a", "b", "c", "d", "e", "f"],
+         "poisson": {"1,2": "(a+b+c+d+e+f)^32"}, "volume": "1"},
+    )
+    _exits_3_within_a_second(["check", path], capsys)
+
+
+def test_every_shipped_problem_file_loads():
+    bench_inputs = PROBLEMS.parent / "bench" / "inputs"
+    paths = sorted(PROBLEMS.glob("*.json")) + sorted(bench_inputs.glob("*.json"))
+    assert paths
+    for path in paths:
+        load(str(path))
+
+
 # ----------------------------------------------------------------------
 # commands and exit codes
 
@@ -194,6 +215,41 @@ def test_modular_quadratic_components(capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["results"]["modular_field"] == ["-x", "y"]
     assert report["results"]["is_poisson_vector_field"] is True
+
+
+@pytest.mark.parametrize("command", ["modular", "duality"])
+def test_modular_cross_check_failure_exits_1_with_witness(command, monkeypatch, capsys):
+    # the Lie-derivative side of the cross-check is forced to zero
+    monkeypatch.setattr("poishom.poisson.lie_derivative", lambda field, omega: omega.scale(0))
+    argv = [command, str(PROBLEMS / "quadratic.json"), "--format", "json"]
+    assert main(argv) == EXIT_MATH
+    report = json.loads(capsys.readouterr().out)
+    assert report["witnesses"] == [{
+        "check": "modular_field", "coordinate": "x",
+        "lie_derivative": "0", "expected": "-x",
+    }]
+
+
+def test_closed_stdout_exits_quietly():
+    # as in `poishom cohomology ... | head -1`: the reader has gone before
+    # the report is written
+    src = str(PROBLEMS.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "poishom.cli", "cohomology", str(PROBLEMS / "so3.json"),
+         "--max-weight", "4"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    proc.stdout.close()
+    try:
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert err == b""
+    assert code == EXIT_OK
 
 
 def test_cohomology_table(capsys):

@@ -30,8 +30,10 @@ from poishom.complexes import element_from_basis
 
 from catalog import (
     chain_catalog,
+    cochain_differential_oracle,
     decomposable,
     generic2,
+    graded_catalog,
     p2,
     quadratic2,
     quadratic_rank2,
@@ -167,6 +169,41 @@ def test_cochain_differential_squares_to_zero():
             k = rng.randint(0, n)
             x = rand_cochain_element(rng, n, k, W.rank, max_degree=3, terms=2)
             assert cochain_differential(P, W, cochain_differential(P, W, x)).is_zero()
+
+
+def test_cochain_differential_matches_oracle_on_catalog_bases():
+    # every cochain basis vector up to weight 3 of both catalogs
+    pairs = {label: (P, W) for label, P, W, _ in chain_catalog()}
+    pairs.update({label: (P, W) for label, P, W, _, _ in graded_catalog()})
+    checked = 0
+    for P, W in pairs.values():
+        for k in range(P.nvars + 1):
+            for w in range(-k, 4):
+                for entry in slice_basis(W, "cochain", k, w):
+                    x = element_from_basis(W, "cochain", k, entry)
+                    assert cochain_differential(P, W, x) == cochain_differential_oracle(P, W, x)
+                    checked += 1
+    assert checked == 2994
+
+
+def test_cochain_differential_matches_oracle_on_random_elements():
+    # multi-term, multi-section elements of every degree, including rank-2
+    # modules with nonzero brackets (so3_rank2, quadratic_rank2, symplectic_rank2)
+    rng = random.Random(13)
+    for P, W in PAIRS:
+        n = P.nvars
+        elements = [
+            rand_cochain_element(rng, n, k, W.rank, max_degree=3, terms=3)
+            for k in range(n + 1) for _ in range(6)
+        ]
+        for x in elements:
+            assert cochain_differential(P, W, x) == cochain_differential_oracle(P, W, x)
+        assert any(
+            sum(len(poly.terms) for c in x.components for poly in c.terms.values()) > 1
+            for x in elements
+        )
+        if W.rank > 1:
+            assert any(all(not c.is_zero() for c in x.components) for x in elements)
 
 
 def test_interior_chain_cochain_lemma():
@@ -343,12 +380,13 @@ def _rebuild(module, kind, degree, image):
 
 def test_basis_maps_match_object_level_on_catalog():
     # every catalog basis vector up to weight 3, both differentials and
-    # blacktriangle, against the object-level reference
+    # blacktriangle, against the object-level references (the cochain side
+    # against the coordinate-tuple oracle, not the function under test)
     for _, P, W, _ in chain_catalog():
         n = P.nvars
         for k in range(n + 1):
             for w in range(-n, 4):
-                for kind, differential in (("cochain", cochain_differential),
+                for kind, differential in (("cochain", cochain_differential_oracle),
                                            ("chain", chain_differential)):
                     for entry in slice_basis(W, kind, k, w):
                         element = element_from_basis(W, kind, k, entry)

@@ -6,6 +6,7 @@ import pytest
 from poishom import (
     Form,
     JacobiError,
+    ModularFieldError,
     MultiVector,
     PoissonStructure,
     Poly,
@@ -182,6 +183,18 @@ def test_modular_field_independent_of_volume_scale():
     assert P.modular_vector_field(VolumeForm(Fraction(7, 3))) == P.modular_vector_field(
         VolumeForm()
     )
+
+
+def test_modular_cross_check_failure_is_typed(monkeypatch):
+    # make the Lie-derivative side disagree: it now reads 2 mu on every coordinate
+    monkeypatch.setattr("poishom.poisson.lie_derivative", lambda field, omega: omega.scale(2))
+    mu = VolumeForm(Fraction(3))
+    with pytest.raises(ModularFieldError, match="coordinate 1") as info:
+        so3().modular_vector_field(mu)
+    i, lhs, rhs = info.value.witness
+    assert i == 0
+    assert lhs == mu.form(3).scale(2)
+    assert rhs.is_zero()  # so(3) is unimodular: phi(x) mu = 0
 
 
 @pytest.mark.parametrize("make", [symplectic2, quadratic2, so3, generic2])

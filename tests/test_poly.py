@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from poishom import DimensionError, ParseError, Poly
-from poishom.poly import MAX_PARSE_DEGREE, monomials_of_degree
+from poishom.poly import MAX_PARSE_DEGREE, MAX_PARSE_TERMS, monomials_of_degree
 
 from catalog import XY, eval_poly, p2, rand_point, rand_poly
 
@@ -53,6 +53,30 @@ def test_parse_degree_cap():
                  f"x*(x+y)^{top}"]:
         with pytest.raises(ParseError, match="exceeds the limit"):
             p2(text)
+
+
+def test_parse_term_cap():
+    # predicted terms: C(t+e-1, e) for a t-term base to the power e, t1*t2 for
+    # a product; both exact for sums of distinct variables
+    names = list("abcdefghij")
+    base = "(" + "+".join(names) + ")"
+    assert MAX_PARSE_TERMS == 1000
+    assert len(Poly.parse(f"{base}^4", names).terms) == 715
+    assert len(Poly.parse(f"{base}^2*{base}", names).terms) == 220
+    assert Poly.parse(f"({base}^2)^1", names) == Poly.parse(f"{base}*{base}", names)
+    for text in [f"{base}^5", f"{base}^2*{base}^2", f"{base}*{base}*{base}*{base}"]:
+        with pytest.raises(ParseError, match="term count .* exceeds the limit"):
+            Poly.parse(text, names)
+
+
+def test_pow_matches_repeated_product():
+    rng = random.Random(4)
+    for _ in range(10):
+        f = rand_poly(rng, 2, max_degree=2, terms=3)
+        acc = Poly.constant(2, 1)
+        for e in range(7):
+            assert f**e == acc
+            acc = acc * f
 
 
 def test_add_inverse_and_scale_zero():
