@@ -55,7 +55,6 @@ from .pmodule import (
     PoissonModule,
     elw_connection,
     flatness_defect,
-    module_bracket,
     twist,
 )
 from .poisson import PoissonStructure, VolumeForm
@@ -98,7 +97,6 @@ __all__ = [
     "interior_product",
     "lie_derivative",
     "matrix_rank",
-    "module_bracket",
     "monomials_of_degree",
     "slice_basis",
     "star",

@@ -38,21 +38,22 @@ def _accumulate(out: dict, key, piece: Poly):
         out[key] = acc
 
 
+def _inversion_sign(seq) -> int:
+    """(-1)**(pairs out of order in ``seq``): the sign of the sort of ``seq``."""
+    inversions = sum(1 for i, a in enumerate(seq) for b in seq[i + 1 :] if a > b)
+    return -1 if inversions % 2 else 1
+
+
 def wedge_indices(left: tuple, right: tuple):
     """Merge two increasing index tuples; returns (sign, merged) or None.
 
-    None signals a repeated index (the wedge vanishes). The sign counts the
-    transpositions needed to sort the concatenation.
+    None signals a repeated index (the wedge vanishes). The sign is that of
+    the permutation sorting the concatenation.
     """
     if set(left) & set(right):
         return None
     merged = left + right
-    inversions = 0
-    for i, a in enumerate(merged):
-        for b in merged[i + 1 :]:
-            if a > b:
-                inversions += 1
-    return (-1 if inversions % 2 else 1, tuple(sorted(merged)))
+    return (_inversion_sign(merged), tuple(sorted(merged)))
 
 
 def subset_sign(sub: tuple, full: tuple):
@@ -259,15 +260,6 @@ class Form(_Alternating):
                 _accumulate(out, key, piece)
         return Form._raw(self.nvars, self.degree + 1, out)
 
-    @classmethod
-    def from_function(cls, poly: Poly) -> "Form":
-        return cls(poly.nvars, 0, {(): poly})
-
-    def as_poly(self) -> Poly:
-        if self.degree != 0:
-            raise DimensionError("only a 0-form is a polynomial")
-        return self.coefficient(())
-
 
 class MultiVector(_Alternating):
     """An alternating multivector field with polynomial coefficients."""
@@ -301,16 +293,9 @@ class MultiVector(_Alternating):
                     prod = prod * grads[s][idx[perm[s]]]
                 if prod.is_zero():
                     continue
-                det = det + prod.scale(_permutation_sign(perm))
+                det = det + prod.scale(_inversion_sign(perm))
             result = result + det * coeff
         return result
-
-
-def _permutation_sign(perm) -> int:
-    inversions = sum(
-        1 for i in range(len(perm)) for j in range(i + 1, len(perm)) if perm[i] > perm[j]
-    )
-    return -1 if inversions % 2 else 1
 
 
 class _ModuleElement:

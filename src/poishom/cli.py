@@ -14,12 +14,19 @@ Problem file schema (JSON)::
 
 A ``twist`` entry transforms the coefficient module before any computation:
 ``"modular"`` twists by the modular vector field of the declared volume,
-an explicit component list is validated as a Poisson vector field first.
+an explicit component list must be a Poisson vector field.
 
-Exit codes: 0 success, 1 mathematical check failed (witness reported),
-2 graded-mode/precondition violation, 3 input error. A reader that closes
-standard output early (``poishom ... | head``) does not change the exit
-code and causes no traceback.
+Every command first passes the input through the constructor gates: the
+Jacobi identity (``PoissonStructure``), flatness of the module for that
+structure (``PoissonModule(..., structure=)``) and, when twisting, the
+Poisson property of the twisting field (``twist``).
+
+Exit codes: 0 success; 1 mathematical check failed, always with the report
+on standard output and a witness in it (Jacobi, flatness, Poisson vector
+field, modular-field cross-check or duality); 2 graded-mode/precondition
+violation; 3 input error. A reader that closes standard output early
+(``poishom ... | head``) does not change the exit code and causes no
+traceback.
 """
 
 from __future__ import annotations
@@ -43,7 +50,7 @@ from .errors import (
     FlatnessError,
 )
 from .homology import betti_table, spec_digest, verify_duality
-from .pmodule import PoissonModule, flatness_defect, twist
+from .pmodule import PoissonModule, twist
 from .poisson import PoissonStructure, VolumeForm
 from .poly import Poly
 
@@ -56,11 +63,11 @@ EXIT_INPUT = 3
 class ProblemSpec:
     """A validated problem file."""
 
-    def __init__(self, variables, structure, volume, module, twist_spec):
+    def __init__(self, variables, bivector, volume, module, twist_spec):
         self.variables = variables
-        self.structure = structure  # PoissonStructure, possibly unverified
+        self.bivector = bivector  # MultiVector, Jacobi not yet checked
         self.volume = volume
-        self.module = module  # PoissonModule, not yet flat-verified
+        self.module = module  # PoissonModule, flatness not yet checked
         self.twist_spec = twist_spec  # None | "modular" | MultiVector
 
 
@@ -87,7 +94,11 @@ def _unique_keys(pairs):
 
 
 def load(path: str) -> ProblemSpec:
-    """Load and fully validate a problem file."""
+    """Load and fully validate a problem file.
+
+    The mathematical checks (Jacobi, flatness, the twisting field) are left
+    to ``_verify_inputs``, so a file that fails one still loads.
+    """
     with open(path, "r", encoding="utf-8") as handle:
         try:
             data = json.load(handle, object_pairs_hook=_unique_keys)
@@ -121,7 +132,7 @@ def load(path: str) -> ProblemSpec:
         _require((i - 1, j - 1) not in components, f"poisson.{key}",
                  f"duplicate pair {i},{j}")
         components[(i - 1, j - 1)] = _parse_poly(text, variables, f"poisson.{key}")
-    structure = PoissonStructure.from_components(n, components, require_jacobi=False)
+    bivector = MultiVector(n, 2, components)
 
     volume_text = data.get("volume")
     _require(isinstance(volume_text, str), "volume", "expected a rational string")
@@ -178,7 +189,7 @@ def load(path: str) -> ProblemSpec:
                 terms[(i,)] = poly
         twist_spec = MultiVector(n, 1, terms)
 
-    return ProblemSpec(variables, structure, volume, module, twist_spec)
+    return ProblemSpec(variables, bivector, volume, module, twist_spec)
 
 
 # ----------------------------------------------------------------------
@@ -227,6 +238,15 @@ def _poisson_field_witness_payload(witness, names):
     }
 
 
+_WITNESS_PAYLOADS = {
+    JacobiError: _jacobi_witness_payload,
+    FlatnessError: _flatness_witness_payload,
+    PoissonFieldError: _poisson_field_witness_payload,
+    ModularFieldError: _modular_witness_payload,
+}
+_CHECK_ERRORS = tuple(_WITNESS_PAYLOADS)
+
+
 class _Run:
     """Collects results and witnesses for one CLI invocation."""
 
@@ -252,7 +272,7 @@ class _Run:
         module = problem.module if self.module is None else self.module
         return {
             "command": self.args.command,
-            "spec_digest": spec_digest(problem.structure, module, problem.volume, params),
+            "spec_digest": spec_digest(problem.bivector, module, problem.volume, params),
             "results": self.results,
             "witnesses": self.witnesses,
             "generated_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
@@ -260,68 +280,51 @@ class _Run:
 
 
 def _verify_inputs(run: _Run, need_twist: bool = True):
-    """Jacobi + flatness (+ twist validity) gate shared by all commands.
+    """Build the structure and the working module through their gates.
 
-    Returns (structure, working module) and records the working module on
-    ``run``, or returns None after recording witnesses. The working module
-    has the file's twist applied when ``need_twist`` is set.
+    ``PoissonStructure`` checks Jacobi, ``PoissonModule(..., structure=)``
+    checks flatness (also of the default trivial module) and ``twist``
+    checks the twisting field; each raises its typed error with a witness,
+    which ``main`` reports. Returns (structure, working module) and records
+    the working module on ``run``; it has the file's twist applied when
+    ``need_twist`` is set.
     """
     problem = run.problem
-    structure = problem.structure
-    names = run.names
-    if not structure.jacobi_verified:
-        run.fail(_jacobi_witness_payload(structure.jacobi_witness, names))
-        return None
-    witness = flatness_defect(problem.module, structure)
-    if witness is not None:
-        run.fail(_flatness_witness_payload(witness, names))
-        return None
-    module = PoissonModule(
-        problem.module.nvars, problem.module.rank, problem.module.brackets,
-        flat_verified=True,
-    )
+    structure = PoissonStructure(problem.bivector)
+    m = problem.module
+    module = PoissonModule(m.nvars, m.rank, m.brackets, structure=structure)
     if need_twist and problem.twist_spec is not None:
-        if problem.twist_spec == "modular":
+        phi = problem.twist_spec
+        if phi == "modular":
             phi = structure.modular_vector_field(problem.volume)
-        else:
-            phi = problem.twist_spec
-            defect = structure.poisson_field_defect(phi)
-            if defect is not None:
-                run.fail(_poisson_field_witness_payload(defect, names))
-                return None
         module = twist(module, structure, phi)
     run.module = module
     return structure, module
 
 
 def _cmd_check(run: _Run, args):
-    verified = _verify_inputs(run)
-    run.results["jacobi"] = run.problem.structure.jacobi_verified
-    if run.problem.structure.jacobi_verified:
-        run.results["flat"] = not any(w["check"] == "flatness" for w in run.witnesses)
-    run.results["ok"] = verified is not None
-    if verified is not None:
-        run.results["rank"] = verified[1].rank
+    results = run.results
+    try:
+        _, module = _verify_inputs(run)
+    except _CHECK_ERRORS as exc:
+        results["jacobi"] = not isinstance(exc, JacobiError)
+        if results["jacobi"]:
+            results["flat"] = not isinstance(exc, FlatnessError)
+        results["ok"] = False
+        raise
+    results.update(jacobi=True, flat=True, ok=True, rank=module.rank)
 
 
 def _cmd_modular(run: _Run, args):
-    verified = _verify_inputs(run, need_twist=False)
-    if verified is None:
-        return
-    structure, _ = verified
+    structure, _ = _verify_inputs(run, need_twist=False)
     phi = structure.modular_vector_field(run.problem.volume)
-    components = [
-        phi.evaluate(structure.coordinate(i)) for i in range(structure.nvars)
-    ]
+    components = [phi.evaluate(x_i) for x_i in structure.coordinates]
     run.results["modular_field"] = _poly_list(components, run.names)
     run.results["is_poisson_vector_field"] = structure.poisson_field_defect(phi) is None
 
 
 def _cmd_betti(run: _Run, args, kind):
-    verified = _verify_inputs(run)
-    if verified is None:
-        return
-    structure, module = verified
+    structure, module = _verify_inputs(run)
     table = betti_table(structure, module, kind, args.max_weight)
     entries = table.to_dict()["entries"]
     if args.degree is not None:
@@ -334,10 +337,7 @@ def _cmd_betti(run: _Run, args, kind):
 
 
 def _cmd_duality(run: _Run, args):
-    verified = _verify_inputs(run)
-    if verified is None:
-        return
-    structure, module = verified
+    structure, module = _verify_inputs(run)
     report = verify_duality(
         structure, module, run.problem.volume,
         max_weight=args.max_weight, trials=args.trials, seed=args.seed,
@@ -448,14 +448,11 @@ def main(argv=None) -> int:
             _cmd_betti(run, args, "homology")
         elif args.command == "duality":
             _cmd_duality(run, args)
-    except ModularFieldError as exc:
-        run.fail(_modular_witness_payload(exc.witness, run.names))
+    except _CHECK_ERRORS as exc:
+        run.fail(_WITNESS_PAYLOADS[type(exc)](exc.witness, run.names))
     except GradedModeError as exc:
         print(f"graded-mode violation: {exc}", file=sys.stderr)
         return EXIT_MODE
-    except (JacobiError, FlatnessError, PoissonFieldError) as exc:
-        print(f"mathematical check failed: {exc}", file=sys.stderr)
-        return EXIT_MATH
     except PoishomError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MODE

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations
 from typing import NamedTuple
 
@@ -48,16 +47,14 @@ from .calculus import (
     interior_product,
     subset_sign,
 )
-from .errors import DimensionError, GradedModeError, PoishomError
-from .pmodule import PoissonModule, bracket_vector
+from .errors import DimensionError, GradedModeError
+from .pmodule import PoissonModule, _require_flat, bracket_vector
 from .poisson import PoissonStructure, VolumeForm
 from .poly import Poly, monomials_of_degree
 
 
 def _check_pair(structure: PoissonStructure, module: PoissonModule, element):
-    structure._require_jacobi()
-    if not module.flat_verified:
-        raise PoishomError("module is not flat-verified; construct it with structure= first")
+    _require_flat(module, structure)
     if module.nvars != structure.nvars or element.nvars != module.nvars:
         raise DimensionError("mismatched variable counts")
     if element.rank != module.rank:
@@ -87,12 +84,6 @@ def chain_differential(structure: PoissonStructure, module: PoissonModule,
     return out
 
 
-@lru_cache(maxsize=None)
-def _coordinates(nvars: int) -> tuple:
-    """The coordinate functions x_1..x_n, built once per ``nvars`` (a Poly is immutable)."""
-    return tuple(Poly.variable(nvars, i) for i in range(nvars))
-
-
 def cochain_differential(structure: PoissonStructure, module: PoissonModule,
                          element: ModuleCochainElement) -> ModuleCochainElement:
     """Degree +1 differential of the cochain complex with coefficients.
@@ -107,7 +98,7 @@ def cochain_differential(structure: PoissonStructure, module: PoissonModule,
     n, r, k = element.nvars, element.rank, element.degree
     if k >= n:
         return ModuleCochainElement.zero(r, n, n)
-    coords = _coordinates(n)
+    coords = structure.coordinates
     zero = Poly.zero(n)
     support = sorted({idx for comp in element.components for idx in comp.terms})
     out_terms: list[dict] = [{} for _ in range(r)]
@@ -163,7 +154,7 @@ def star_inverse(mu: VolumeForm, element: ModuleChainElement) -> ModuleCochainEl
         terms = {}
         for idx, poly in comp.terms.items():
             complement = tuple(i for i in range(n) if i not in idx)
-            sign = 1 if sum(j - t for t, j in enumerate(complement)) % 2 == 0 else -1
+            sign = subset_sign(complement, tuple(range(n)))
             terms[complement] = poly.scale(Fraction(sign, 1) / mu.coefficient)
         out.append(MultiVector(n, k, terms))
     return ModuleCochainElement(out, degree=k)

@@ -34,8 +34,9 @@ class DimensionError(PoishomError):
 class JacobiError(PoishomError):
     """A bivector failed the Jacobi identity.
 
-    ``witness`` is a tuple ``(i, j, k, jacobiator)`` of 0-based coordinate
-    indices and the nonzero jacobiator polynomial.
+    ``witness`` is a tuple ``(i, j, k, value)`` of 0-based coordinate
+    indices and the nonzero polynomial {{x_i,x_j},x_k} + {{x_j,x_k},x_i}
+    + {{x_k,x_i},x_j}.
     """
 
     def __init__(self, witness):

@@ -176,10 +176,10 @@ class BettiTable:
         }
 
 
-def structure_digest(structure: PoissonStructure, module: PoissonModule | None = None,
+def structure_digest(bivector: MultiVector, module: PoissonModule | None = None,
                      mu: VolumeForm | None = None) -> str:
     """Stable hash of the mathematical input data."""
-    pieces = [str(structure.nvars), structure.bivector.text()]
+    pieces = [str(bivector.nvars), bivector.text()]
     if module is not None:
         pieces.append(str(module.rank))
         for m in module.brackets:
@@ -190,12 +190,13 @@ def structure_digest(structure: PoissonStructure, module: PoissonModule | None =
     return hashlib.sha256("|".join(pieces).encode()).hexdigest()[:16]
 
 
-def spec_digest(structure: PoissonStructure, module: PoissonModule, mu: VolumeForm,
+def spec_digest(bivector: MultiVector, module: PoissonModule, mu: VolumeForm,
                 params: dict) -> str:
-    """Stable hash of what a run computes: the structure, the module it works
+    """Stable hash of what a run computes: the bivector, the module it works
     on (after any twist), the volume, the run parameters and the package
-    version."""
-    pieces = [structure_digest(structure, module, mu), __version__]
+    version. It takes the bivector, not a ``PoissonStructure``, so a run
+    whose Jacobi check fails still has a digest."""
+    pieces = [structure_digest(bivector, module, mu), __version__]
     pieces.extend(f"{key}={value}" for key, value in sorted(params.items()))
     return hashlib.sha256("|".join(pieces).encode()).hexdigest()[:16]
 
@@ -224,7 +225,7 @@ def betti_table(structure: PoissonStructure, module: PoissonModule,
                 structure, module, slice_kind, degree, weight, _cache=cache
             )
     metadata = {
-        "structure": structure_digest(structure, module),
+        "structure": structure_digest(structure.bivector, module),
         "weight_shift": shift,
         "max_weight": max_weight,
         "rank": module.rank,
@@ -307,7 +308,7 @@ class DualityReport:
 
 
 def _modular_components(structure: PoissonStructure, phi: MultiVector) -> tuple:
-    return tuple(phi.evaluate(structure.coordinate(i)) for i in range(structure.nvars))
+    return tuple(phi.evaluate(x_i) for x_i in structure.coordinates)
 
 
 def random_cochain_element(rng: random.Random, module: PoissonModule,
@@ -383,7 +384,7 @@ def verify_duality(structure: PoissonStructure, module: PoissonModule,
         trials=trials,
         seed=seed,
         spec_digest=spec_digest(
-            structure, module, mu,
+            structure.bivector, module, mu,
             {"max_weight": max_weight, "trials": trials, "seed": seed},
         ),
     )

@@ -15,8 +15,8 @@ nabla_{dx_i}(e_a) = sum_b Gamma_i[a][b] e_b with Gamma_i = -B_i.
 
 from __future__ import annotations
 
-from .calculus import Form, ModuleChainElement, MultiVector, interior_product
-from .errors import DimensionError, FlatnessError, PoissonFieldError
+from .calculus import Form, MultiVector, interior_product
+from .errors import DimensionError, FlatnessError, PoishomError, PoissonFieldError
 from .poisson import PoissonStructure, VolumeForm
 from .poly import Poly
 
@@ -38,17 +38,18 @@ def _check_matrices(nvars, rank, matrices):
 class PoissonModule:
     """A free rank-r module with coordinate bracket matrices.
 
-    ``flat_verified`` records whether the right-Lie-module condition has
-    been established for this data (either checked against a structure, or
-    guaranteed by construction as for trivial modules and twists of
-    verified modules). Operations that rely on flatness refuse unverified
-    modules.
+    Flatness is relative to a Poisson structure. ``PoissonModule(...,
+    structure=P)`` is the flatness gate: it raises ``FlatnessError`` with a
+    witness unless the data is a right Lie module over P, and records P as
+    ``structure``. Without ``structure`` the module is plain data
+    (``structure`` is None); the differentials and ``twist`` accept it only
+    when every bracket matrix is zero, which is flat for every structure.
+    Equality and hashing use the bracket data alone.
     """
 
-    __slots__ = ("nvars", "rank", "brackets", "flat_verified")
+    __slots__ = ("nvars", "rank", "brackets", "structure")
 
-    def __init__(self, nvars: int, rank: int, brackets, *, structure=None,
-                 flat_verified: bool = False):
+    def __init__(self, nvars: int, rank: int, brackets, *, structure=None):
         if rank < 1:
             raise DimensionError("rank must be >= 1")
         brackets = _check_matrices(nvars, rank, brackets)
@@ -59,8 +60,7 @@ class PoissonModule:
             witness = flatness_defect(self, structure)
             if witness is not None:
                 raise FlatnessError(witness)
-            flat_verified = True
-        object.__setattr__(self, "flat_verified", flat_verified)
+        object.__setattr__(self, "structure", structure)
 
     def __setattr__(self, name, value):
         raise AttributeError("PoissonModule is immutable")
@@ -72,7 +72,7 @@ class PoissonModule:
         """All bracket matrices zero; flat for every Poisson structure."""
         zero = Poly.zero(nvars)
         m = tuple(tuple(tuple(zero for _ in range(rank)) for _ in range(rank)) for _ in range(nvars))
-        return cls(nvars, rank, m, flat_verified=True)
+        return cls(nvars, rank, m)
 
     def module_fields(self):
         """The W-valued vector fields {e_a,-}_W, as vectors v[a][b] of fields.
@@ -131,7 +131,7 @@ class PoissonModule:
         return degrees.pop()
 
     def __eq__(self, other):
-        # equality is on the bracket data; verification status is bookkeeping
+        # equality is on the bracket data; the checked structure is bookkeeping
         if not isinstance(other, PoissonModule):
             return NotImplemented
         return (
@@ -149,12 +149,6 @@ class PoissonModule:
 
 # ----------------------------------------------------------------------
 # bracket and flatness
-
-
-def _vector_of(w: ModuleChainElement) -> tuple:
-    if w.degree != 0:
-        raise DimensionError("module bracket acts on degree-0 elements")
-    return tuple(c.as_poly() for c in w.components)
 
 
 def bracket_vector(module: PoissonModule, structure: PoissonStructure, vec, f: Poly):
@@ -179,27 +173,14 @@ def bracket_vector(module: PoissonModule, structure: PoissonStructure, vec, f: P
     return tuple(out)
 
 
-def module_bracket(module: PoissonModule, structure: PoissonStructure,
-                   w: ModuleChainElement, f: Poly) -> ModuleChainElement:
-    """The Poisson module bracket {w, f}_W."""
-    structure._require_jacobi()
-    if module.nvars != structure.nvars or w.nvars != module.nvars:
-        raise DimensionError("mismatched variable counts")
-    if w.rank != module.rank:
-        raise DimensionError("rank mismatch")
-    result = bracket_vector(module, structure, _vector_of(w), f)
-    return ModuleChainElement([Form.from_function(p) for p in result], degree=0)
-
-
 def flatness_defect(module: PoissonModule, structure: PoissonStructure):
-    """Flatness witness (a, i, j, discrepancy) or None; ignores ``flat_verified``.
+    """Flatness witness (a, i, j, discrepancy) or None; ignores ``module.structure``.
 
     The discrepancy is oriented as
         {e_a,{x_i,x_j}}_W - {{e_a,x_i}_W,x_j}_W + {{e_a,x_j}_W,x_i}_W,
     each side expanded with the same Leibniz extension used everywhere else.
     Coordinate pairs suffice by the Leibniz axioms.
     """
-    structure._require_jacobi()
     if module.nvars != structure.nvars:
         raise DimensionError("mismatched variable counts")
     n, r = module.nvars, module.rank
@@ -207,9 +188,9 @@ def flatness_defect(module: PoissonModule, structure: PoissonStructure):
     for a in range(r):
         basis = tuple(Poly.constant(n, 1) if b == a else zero for b in range(r))
         for i in range(n):
-            x_i = structure.coordinate(i)
+            x_i = structure.coordinates[i]
             for j in range(i + 1, n):
-                x_j = structure.coordinate(j)
+                x_j = structure.coordinates[j]
                 lhs_ij = bracket_vector(
                     module, structure, bracket_vector(module, structure, basis, x_i), x_j
                 )
@@ -229,31 +210,48 @@ def flatness_defect(module: PoissonModule, structure: PoissonStructure):
 # twisting
 
 
+def _require_flat(module: PoissonModule, structure: PoissonStructure):
+    """Refuse a module not known to be flat for ``structure``.
+
+    Known flat: the flatness gate ran against this structure (or an equal
+    one), or every bracket matrix is zero.
+    """
+    checked = module.structure
+    if checked is structure or checked == structure:
+        return
+    if any(not entry.is_zero() for m in module.brackets for row in m for entry in row):
+        raise PoishomError(
+            "module is not known to be flat for this structure; "
+            "construct it with structure= first"
+        )
+
+
 def twist(module: PoissonModule, structure: PoissonStructure,
           phi: MultiVector) -> PoissonModule:
     """Twist the bracket by a Poisson vector field: {w,f} + w phi(f).
 
-    On bracket matrices this is B_i -> B_i + phi(x_i) I. The preconditions
-    (phi Poisson, module flat) are enforced eagerly.
+    On bracket matrices this is B_i -> B_i + phi(x_i) I. The module must be
+    flat for ``structure`` (see ``_require_flat``) and phi must be Poisson
+    (else ``PoissonFieldError``); the result is then flat for ``structure``
+    without a further check.
     """
     if phi.nvars != module.nvars:
         raise DimensionError("mismatched variable counts")
+    _require_flat(module, structure)
     defect = structure.poisson_field_defect(phi)
     if defect is not None:
         raise PoissonFieldError(defect)
-    if not module.flat_verified:
-        witness = flatness_defect(module, structure)
-        if witness is not None:
-            raise FlatnessError(witness)
     n, r = module.nvars, module.rank
     new = []
     for i in range(n):
-        value = phi.evaluate(structure.coordinate(i))
+        value = phi.evaluate(structure.coordinates[i])
         matrix = [list(row) for row in module.brackets[i]]
         for a in range(r):
             matrix[a][a] = matrix[a][a] + value
         new.append(tuple(tuple(row) for row in matrix))
-    return PoissonModule(n, r, tuple(new), flat_verified=True)
+    twisted = PoissonModule(n, r, tuple(new))
+    object.__setattr__(twisted, "structure", structure)
+    return twisted
 
 
 def elw_connection(structure: PoissonStructure, mu: VolumeForm) -> PoissonModule:
@@ -266,7 +264,6 @@ def elw_connection(structure: PoissonStructure, mu: VolumeForm) -> PoissonModule
     with twist(trivial, modular field) stays a theorem, not a tautology;
     flatness is still verified eagerly here.
     """
-    structure._require_jacobi()
     n = structure.nvars
     mu_form = mu.form(n)
     top = tuple(range(n))

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from .calculus import Form, MultiVector, interior_product, lie_derivative
 from .errors import DimensionError, JacobiError, ModularFieldError
@@ -42,50 +43,41 @@ class VolumeForm:
 
 
 class PoissonStructure:
-    """A bivector field together with its Jacobi verification status.
+    """A bivector field that satisfies the Jacobi identity.
 
-    The Jacobi identity is checked on construction by expanding the
-    jacobiator on all coordinate triples; this suffices because the
-    jacobiator of a biderivation bracket is a triderivation, hence
-    determined by its coordinate values. On failure the witness triple and
-    its nonzero jacobiator are retained (and raised unless
-    ``require_jacobi=False``).
+    The constructor is the Jacobi gate: it expands the cyclic sum
+    {{x_i,x_j},x_k} + {{x_j,x_k},x_i} + {{x_k,x_i},x_j} on all coordinate
+    triples and raises ``JacobiError`` with the first nonzero one. Coordinate
+    triples suffice because for a biderivation bracket this sum is a
+    triderivation, hence determined by its coordinate values. So every
+    instance is a Poisson structure, and no operation checks again.
     """
 
-    __slots__ = ("bivector", "nvars", "jacobi_verified", "jacobi_witness")
+    __slots__ = ("bivector", "nvars", "coordinates")
 
-    def __init__(self, bivector: MultiVector, *, require_jacobi: bool = True):
+    def __init__(self, bivector: MultiVector):
         if not isinstance(bivector, MultiVector):
             raise TypeError("expected a MultiVector")
         if bivector.degree != 2 and not bivector.is_zero():
             raise DimensionError("a Poisson structure is a bivector (degree 2)")
         if bivector.degree != 2:
             bivector = MultiVector.zero(bivector.nvars, 2)
+        n = bivector.nvars
         object.__setattr__(self, "bivector", bivector)
-        object.__setattr__(self, "nvars", bivector.nvars)
-        witness = self._jacobi_witness()
-        object.__setattr__(self, "jacobi_witness", witness)
-        object.__setattr__(self, "jacobi_verified", witness is None)
-        if require_jacobi and witness is not None:
-            raise JacobiError(witness)
+        object.__setattr__(self, "nvars", n)
+        # the coordinate functions x_1..x_n, built once (a Poly is immutable)
+        object.__setattr__(self, "coordinates", tuple(Poly.variable(n, i) for i in range(n)))
+        x, br = self.coordinates, self.bracket
+        for i, j, k in combinations(range(n), 3):
+            jac = (br(br(x[i], x[j]), x[k]) + br(br(x[j], x[k]), x[i])
+                   + br(br(x[k], x[i]), x[j]))
+            if not jac.is_zero():
+                raise JacobiError((i, j, k, jac))
 
     def __setattr__(self, name, value):
         raise AttributeError("PoissonStructure is immutable")
 
-    @classmethod
-    def from_components(cls, nvars: int, components: dict, **kwargs) -> "PoissonStructure":
-        """Build from {(i, j): Poly} with i < j (0-based coordinates)."""
-        terms = {}
-        for (i, j), poly in components.items():
-            if not 0 <= i < j < nvars:
-                raise DimensionError(f"bad coordinate pair ({i}, {j})")
-            terms[(i, j)] = poly
-        return cls(MultiVector(nvars, 2, terms), **kwargs)
-
     # ------------------------------------------------------------------
-
-    def coordinate(self, i: int) -> Poly:
-        return Poly.variable(self.nvars, i)
 
     def bracket(self, f: Poly, g: Poly) -> Poly:
         """{f,g} = pi(df,dg) = sum over components p_ij (f_i g_j - f_j g_i)."""
@@ -95,29 +87,6 @@ class PoissonStructure:
             if not piece.is_zero():
                 out = out + p * piece
         return out
-
-    def jacobiator(self, f: Poly, g: Poly, h: Poly) -> Poly:
-        """{{f,g},h} + {{g,h},f} + {{h,f},g}; zero iff Jacobi holds on (f,g,h)."""
-        return (
-            self.bracket(self.bracket(f, g), h)
-            + self.bracket(self.bracket(g, h), f)
-            + self.bracket(self.bracket(h, f), g)
-        )
-
-    def _jacobi_witness(self):
-        for i in range(self.nvars):
-            for j in range(i + 1, self.nvars):
-                for k in range(j + 1, self.nvars):
-                    jac = self.jacobiator(
-                        self.coordinate(i), self.coordinate(j), self.coordinate(k)
-                    )
-                    if not jac.is_zero():
-                        return (i, j, k, jac)
-        return None
-
-    def _require_jacobi(self):
-        if not self.jacobi_verified:
-            raise JacobiError(self.jacobi_witness)
 
     # ------------------------------------------------------------------
 
@@ -135,7 +104,6 @@ class PoissonStructure:
 
     def hamiltonian(self, f: Poly) -> MultiVector:
         """X_f = -pi#(df); as a derivation X_f(g) = {g,f}."""
-        self._require_jacobi()
         df = Form(self.nvars, 1, {(i,): f.partial(i) for i in range(self.nvars)})
         return -self.sharp(df)
 
@@ -143,7 +111,6 @@ class PoissonStructure:
 
     def koszul_differential(self, omega: Form) -> Form:
         """The degree -1 operator iota_pi d - d iota_pi on forms."""
-        self._require_jacobi()
         if omega.nvars != self.nvars:
             raise DimensionError("mismatched variable counts")
         return interior_product(self.bivector, omega.d()) - interior_product(
@@ -160,7 +127,6 @@ class PoissonStructure:
         a disagreement raises ``ModularFieldError`` with the coordinate and
         both sides.
         """
-        self._require_jacobi()
         n = self.nvars
         mu_form = mu.form(n)
         boundary = self.koszul_differential(mu_form)
@@ -175,7 +141,7 @@ class PoissonStructure:
             out[(i,)] = c.scale(Fraction(sign, 1) / mu.coefficient)
         phi = MultiVector(n, 1, out)
         for i in range(n):
-            x_i = self.coordinate(i)
+            x_i = self.coordinates[i]
             lhs = lie_derivative(self.hamiltonian(x_i), mu_form)
             rhs = mu_form.scale(phi.evaluate(x_i))
             if lhs != rhs:
@@ -189,16 +155,14 @@ class PoissonStructure:
 
         phi is Poisson iff phi({f,g}) = {phi f, g} + {f, phi g}; checking
         coordinate pairs suffices because the defect is a biderivation.
-        Raises JacobiError when the structure itself fails Jacobi.
         """
-        self._require_jacobi()
         if phi.degree != 1 and not phi.is_zero():
             raise DimensionError("expected a vector field (degree 1)")
         if phi.nvars != self.nvars:
             raise DimensionError("mismatched variable counts")
         for i in range(self.nvars):
             for j in range(i + 1, self.nvars):
-                x_i, x_j = self.coordinate(i), self.coordinate(j)
+                x_i, x_j = self.coordinates[i], self.coordinates[j]
                 defect = (
                     phi.evaluate(self.bracket(x_i, x_j))
                     - self.bracket(phi.evaluate(x_i), x_j)

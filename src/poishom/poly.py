@@ -199,13 +199,6 @@ class Poly:
             raise ValueError(f"polynomial {self} is not homogeneous")
         return degrees.pop()
 
-    def weight_split(self) -> dict:
-        """Split into homogeneous components, keyed by total degree."""
-        buckets: dict[int, dict] = {}
-        for exps, coeff in self.terms.items():
-            buckets.setdefault(sum(exps), {})[exps] = coeff
-        return {deg: Poly._raw(self.nvars, t) for deg, t in sorted(buckets.items())}
-
     # ------------------------------------------------------------------
     # queries
 

@@ -67,11 +67,10 @@ def generic2() -> PoissonStructure:
     return PoissonStructure(bivector(2, {(0, 1): p2("1 + x^2*y")}))
 
 
-def nonjacobi3() -> PoissonStructure:
-    """y Dx^Dy + Dy^Dz; jacobiator(x,y,z) = 1."""
-    return PoissonStructure(
-        bivector(3, {(0, 1): p3("y"), (1, 2): p3("1")}), require_jacobi=False
-    )
+def nonjacobi3() -> MultiVector:
+    """The bivector y Dx^Dy + Dy^Dz; jacobiator(x,y,z) = 1, so
+    ``PoissonStructure`` refuses it."""
+    return bivector(3, {(0, 1): p3("y"), (1, 2): p3("1")})
 
 
 # ----------------------------------------------------------------------
@@ -313,7 +312,7 @@ def cochain_differential_oracle(structure, module, element):
     n, r, k = element.nvars, element.rank, element.degree
     if k >= n:
         return ModuleCochainElement.zero(r, n, n)
-    coords = [structure.coordinate(i) for i in range(n)]
+    coords = structure.coordinates
     out_terms: list[dict] = [{} for _ in range(r)]
     for tup in combinations(range(n), k + 1):
         value = [Poly.zero(n) for _ in range(r)]

@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from poishom import (
+    JacobiError,
     ModuleChainElement,
     ModuleCochainElement,
     PoissonModule,
@@ -38,7 +39,6 @@ from catalog import (
     graded_catalog,
     nonjacobi3,
     p2,
-    p3,
     quadratic2,
     quadratic_rank2,
     rand_chain_element,
@@ -64,13 +64,12 @@ def ok(number, message):
 
 
 def test_c1_jacobi_gate():
-    assert so3().jacobi_verified
-    bad = nonjacobi3()
-    assert not bad.jacobi_verified
-    i, j, k, jac = bad.jacobi_witness
+    so3()  # built through the Jacobi gate, which raises on failure
+    with pytest.raises(JacobiError) as info:
+        PoissonStructure(nonjacobi3())
+    i, j, k, jac = info.value.witness
     assert (i, j, k) == (0, 1, 2)
     assert jac == Poly.constant(3, 1)
-    assert bad.jacobiator(p3("x"), p3("y"), p3("z")) == p3("1")
     ok(1, "Jacobi gate (so(3) passes, y Dx^Dy + Dy^Dz fails with jacobiator 1)")
 
 

@@ -75,7 +75,7 @@ def test_wedge_nvars_mismatch():
 
 
 def test_d_product_rule_on_function():
-    f = Form.from_function(p2("x*y"))
+    f = Form(2, 0, {(): p2("x*y")})
     assert f.d() == Form(2, 1, {(0,): p2("y"), (1,): p2("x")})
 
 
@@ -121,7 +121,7 @@ def test_interior_basis_contractions():
     assert interior_product(Dx(0), omega) == dx(1)
     assert interior_product(Dx(1), omega) == -dx(0)  # shuffle sign
     assert interior_product(MultiVector(2, 2, {(0, 1): Poly.constant(2, 1)}), omega) == (
-        Form.from_function(Poly.constant(2, 1))
+        Form(2, 0, {(): Poly.constant(2, 1)})
     )
 
 

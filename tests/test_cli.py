@@ -7,6 +7,7 @@ from time import perf_counter
 
 import pytest
 
+from poishom import Poly
 from poishom.cli import EXIT_INPUT, EXIT_MATH, EXIT_MODE, EXIT_OK, load, main
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
@@ -25,7 +26,7 @@ def write(tmp_path, name, payload):
 def test_load_minimal_symplectic():
     spec = load(str(PROBLEMS / "symplectic.json"))
     assert spec.variables == ["x", "y"]
-    assert spec.structure.jacobi_verified
+    assert spec.bivector.terms == {(0, 1): Poly.constant(2, 1)}
     assert spec.module.rank == 1
     assert spec.twist_spec is None
 
@@ -167,6 +168,7 @@ def test_check_ok(capsys):
 def test_check_nonjacobi_exits_1_with_witness(capsys):
     assert main(["check", str(PROBLEMS / "nonjacobi.json"), "--format", "json"]) == EXIT_MATH
     report = json.loads(capsys.readouterr().out)
+    assert report["results"] == {"jacobi": False, "ok": False}
     witness = report["witnesses"][0]
     assert witness["check"] == "jacobi"
     assert witness["triple"] == ["x", "y", "z"]
@@ -185,6 +187,7 @@ def test_check_nonflat_module_exits_1(tmp_path, capsys):
     )
     assert main(["check", path, "--format", "json"]) == EXIT_MATH
     report = json.loads(capsys.readouterr().out)
+    assert report["results"] == {"jacobi": True, "flat": False, "ok": False}
     assert report["witnesses"][0]["check"] == "flatness"
     assert report["witnesses"][0]["discrepancy"] == ["-1"]
 
@@ -201,6 +204,7 @@ def test_invalid_twist_field_exits_1(tmp_path, capsys):
     )
     assert main(["check", path, "--format", "json"]) == EXIT_MATH
     report = json.loads(capsys.readouterr().out)
+    assert report["results"] == {"jacobi": True, "flat": True, "ok": False}
     assert report["witnesses"][0]["check"] == "poisson_vector_field"
 
 
@@ -217,7 +221,7 @@ def test_modular_quadratic_components(capsys):
     assert report["results"]["is_poisson_vector_field"] is True
 
 
-@pytest.mark.parametrize("command", ["modular", "duality"])
+@pytest.mark.parametrize("command", ["check", "modular", "duality"])
 def test_modular_cross_check_failure_exits_1_with_witness(command, monkeypatch, capsys):
     # the Lie-derivative side of the cross-check is forced to zero
     monkeypatch.setattr("poishom.poisson.lie_derivative", lambda field, omega: omega.scale(0))
@@ -228,6 +232,8 @@ def test_modular_cross_check_failure_exits_1_with_witness(command, monkeypatch, 
         "check": "modular_field", "coordinate": "x",
         "lie_derivative": "0", "expected": "-x",
     }]
+    if command == "check":
+        assert report["results"] == {"jacobi": True, "flat": True, "ok": False}
 
 
 def test_closed_stdout_exits_quietly():

@@ -72,7 +72,7 @@ def test_chain_differential_degree_one_bracket():
     P = symplectic2()
     W = PoissonModule.trivial(2, 1)
     x = single(1, 0, Form(2, 1, {(0,): p2("y^2")}))
-    assert chain_differential(P, W, x) == single(1, 0, Form.from_function(p2("-2*y")))
+    assert chain_differential(P, W, x) == single(1, 0, Form(2, 0, {(): p2("-2*y")}))
 
 
 def test_chain_differential_matches_koszul_on_trivial_coefficients():
@@ -426,18 +426,26 @@ def test_differentials_reject_unverified_module():
     P = symplectic2()
     W = PoissonModule(2, 1, (((p2("y"),),), ((p2("0"),),)))  # flat but unverified
     x = rand_chain_element(random.Random(0), 2, 1, 1)
-    with pytest.raises(PoishomError):
+    with pytest.raises(PoishomError, match="not known to be flat"):
         chain_differential(P, W, x)
 
 
-def test_differentials_reject_unverified_structure():
-    from catalog import nonjacobi3
-    from poishom import JacobiError
+def test_differentials_reject_module_checked_for_another_structure():
+    # W is flat for the quadratic structure but not for the symplectic one;
+    # there the cochain differential would square to -x Dx^Dy on e1 (x) x
+    from poishom import PoishomError, flatness_defect
 
-    P = nonjacobi3()
-    W = PoissonModule.trivial(3, 1)
-    x = rand_chain_element(random.Random(0), 3, 1, 1)
-    with pytest.raises(JacobiError):
-        chain_differential(P, W, x)
-    with pytest.raises(JacobiError):
-        P.koszul_differential(Form(3, 1, {(0,): Poly.variable(3, 1)}))
+    P = symplectic2()
+    W = quadratic_rank2(quadratic2())
+    assert flatness_defect(W, P) is not None
+    x = ModuleCochainElement.single(2, 0, MultiVector(2, 0, {(): p2("x")}))
+    with pytest.raises(PoishomError, match="not known to be flat"):
+        cochain_differential(P, W, x)
+    with pytest.raises(PoishomError, match="not known to be flat"):
+        chain_differential(P, W, rand_chain_element(random.Random(0), 2, 1, 2))
+    with pytest.raises(PoishomError, match="not known to be flat"):
+        twist(W, P, MultiVector.zero(2, 1))
+    equal = quadratic2()  # equal to W.structure, but another object
+    assert equal is not W.structure and equal == W.structure
+    assert cochain_differential(equal, W, cochain_differential(equal, W, x)).is_zero()
+    assert twist(W, equal, MultiVector.zero(2, 1)).structure is equal

@@ -4,15 +4,13 @@ import pytest
 
 from poishom import (
     FlatnessError,
-    ModuleChainElement,
     MultiVector,
+    PoishomError,
     PoissonFieldError,
     PoissonModule,
-    Poly,
     VolumeForm,
     elw_connection,
     flatness_defect,
-    module_bracket,
     twist,
 )
 from poishom.pmodule import bracket_vector
@@ -38,12 +36,6 @@ def rank1(structure, *texts):
     return PoissonModule(n, 1, tuple(((parse(t),),) for t in texts))
 
 
-def w_element(*polys):
-    from poishom import Form
-
-    return ModuleChainElement([Form.from_function(q) for q in polys], degree=0)
-
-
 # ----------------------------------------------------------------------
 # module bracket
 
@@ -51,23 +43,22 @@ def w_element(*polys):
 def test_trivial_module_bracket_is_scalar_bracket():
     P = symplectic2()
     W = PoissonModule.trivial(2, 1)
-    assert module_bracket(W, P, w_element(p2("x")), p2("y")) == w_element(p2("1"))
+    assert bracket_vector(W, P, (p2("x"),), p2("y")) == (p2("1"),)
 
 
 def test_bracket_with_constant_vanishes():
     P = quadratic2()
     W = quadratic_rank2(P)
-    w = w_element(p2("x+y"), p2("x*y"))
-    assert module_bracket(W, P, w, p2("7")).is_zero()
+    w = (p2("x+y"), p2("x*y"))
+    assert bracket_vector(W, P, w, p2("7")) == (p2("0"), p2("0"))
 
 
 def test_bracket_leibniz_in_function_slot():
     # rank-1, B_x = (x), B_y = (0): {e, x^2} = 2x * (x e) = 2x^2 e
-    # (module_bracket itself needs no flatness; only the differentials do)
+    # (bracket_vector itself needs no flatness; only the differentials do)
     P = symplectic2()
     W = rank1(P, "x", "0")
-    e = w_element(p2("1"))
-    assert module_bracket(W, P, e, p2("x^2")) == w_element(p2("2*x^2"))
+    assert bracket_vector(W, P, (p2("1"),), p2("x^2")) == (p2("2*x^2"),)
 
 
 def test_bracket_axioms_random():
@@ -143,7 +134,7 @@ def test_catalog_modules_are_flat():
         (quadratic2(), quadratic_rank2(quadratic2())),
         (so3(), so3_rank2(so3())),
     ]:
-        assert W.flat_verified and flatness_defect(W, P) is None
+        assert W.structure == P and flatness_defect(W, P) is None
 
 
 def test_zero_structure_flat_iff_matrices_commute():
@@ -220,8 +211,8 @@ def test_twist_requires_poisson_field():
 
 def test_twist_requires_flat_module():
     P = symplectic2()
-    W = rank1(P, "x", "0")  # not flat
-    with pytest.raises(FlatnessError):
+    W = rank1(P, "x", "0")  # not flat, so never through the flatness gate
+    with pytest.raises(PoishomError, match="not known to be flat"):
         twist(W, P, MultiVector.zero(2, 1))
 
 

@@ -105,24 +105,6 @@ def test_partial_index_range():
         p2("x").partial(2)
 
 
-def test_weight_split_examples():
-    assert p2("x + x*y").weight_split() == {1: p2("x"), 2: p2("x*y")}
-    assert p2("0").weight_split() == {}
-    assert p2("(x+1)^2").weight_split() == {0: p2("1"), 1: p2("2*x"), 2: p2("x^2")}
-
-
-def test_weight_split_components_sum_back():
-    rng = random.Random(5)
-    for _ in range(50):
-        q = rand_poly(rng, 2)
-        parts = q.weight_split()
-        total = Poly.zero(2)
-        for degree, part in parts.items():
-            assert part.homogeneous_degree() == degree
-            total = total + part
-        assert total == q
-
-
 def test_ring_axioms_random():
     rng = random.Random(7)
     for _ in range(100):
