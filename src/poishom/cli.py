@@ -104,6 +104,8 @@ def load(path: str) -> ProblemSpec:
             data = json.load(handle, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as exc:
             raise SchemaError(path, f"invalid JSON: {exc}") from exc
+        except RecursionError as exc:  # the decoder recurses once per level
+            raise SchemaError(path, "JSON nesting exceeds the limit of the decoder") from exc
     _require(isinstance(data, dict), "$", "top level must be an object")
     known = {"variables", "poisson", "volume", "module", "twist"}
     for key in data:

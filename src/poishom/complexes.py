@@ -6,9 +6,10 @@ decomposes, on each basis section, as
     e_a (x) omega  |->  e_a (x) bnd(omega) + iota_{X_a}(omega),
 
 where bnd is the scalar Koszul differential and X_a = {e_a,-}_W is the
-W-valued vector field read off the bracket matrices. The decomposition is
-equivalent to the two-sum formula on decomposables (the test suite checks
-this against an independent oracle).
+W-valued vector field sum_{i,b} B_i[a][b] d/dx_i e_b; the contraction is read
+term by term off the bracket matrices. The decomposition is equivalent to
+the two-sum formula on decomposables (the test suite checks this against an
+independent oracle).
 
 Cochain side: W-valued multiderivations of degree k with the degree +1
 differential
@@ -27,8 +28,9 @@ Luo, Wang and Wu, J. Algebra 2015).
 Weight grading: weight(x_i) = weight(dx_i) = +1, weight(d/dx_i) = -1. When
 the bivector is homogeneous of coefficient degree d and every bracket entry
 is homogeneous of degree d-1, both differentials shift weight by exactly
-d-2 and every weight slice is finite dimensional; ``assemble_slice`` builds
-the matrices of these restrictions over deterministic monomial bases.
+d-2 and every weight slice is finite dimensional; ``assemble_slice`` stores
+these restrictions as sparse columns over deterministic monomial bases, the
+one form that slice ranks and the duality check both read.
 """
 
 from __future__ import annotations
@@ -63,25 +65,30 @@ def _check_pair(structure: PoissonStructure, module: PoissonModule, element):
 
 def chain_differential(structure: PoissonStructure, module: PoissonModule,
                        element: ModuleChainElement) -> ModuleChainElement:
-    """Degree -1 differential of the chain complex with coefficients."""
+    """Degree -1 differential of the chain complex with coefficients.
+
+    Component a contributes its Koszul boundary to e_a and its contraction
+    with X_a, read straight off the bracket matrices: each term f dx_I and
+    each position t of i in I give (-1)^t f B_i[a][b] to e_b (x) dx_{I - i}.
+    """
     _check_pair(structure, module, element)
     n, r, q = element.nvars, element.rank, element.degree
     if q == 0 or element.is_zero():
         return ModuleChainElement.zero(r, n, max(q - 1, 0))
-    fields = module.module_fields()
-    out = ModuleChainElement.zero(r, n, q - 1)
+    out_terms: list[dict] = [{} for _ in range(r)]
     for a, omega in enumerate(element.components):
         if omega.is_zero():
             continue
-        scalar = structure.koszul_differential(omega)
-        pieces = []
-        for b in range(r):
-            piece = interior_product(fields[a][b], omega)
-            if b == a:
-                piece = piece + scalar
-            pieces.append(piece)
-        out = out + ModuleChainElement(pieces, degree=q - 1)
-    return out
+        for idx, poly in structure.koszul_differential(omega).terms.items():
+            _accumulate(out_terms[a], idx, poly)
+        for idx, f in omega.terms.items():
+            for t, i in enumerate(idx):
+                rest = idx[:t] + idx[t + 1:]
+                for b, entry in enumerate(module.brackets[i][a]):
+                    if not entry.is_zero():
+                        piece = f * entry
+                        _accumulate(out_terms[b], rest, piece if t % 2 == 0 else -piece)
+    return ModuleChainElement([Form(n, q - 1, terms) for terms in out_terms], degree=q - 1)
 
 
 def cochain_differential(structure: PoissonStructure, module: PoissonModule,
@@ -263,11 +270,12 @@ def element_from_basis(module: PoissonModule, kind: str, degree: int,
 
 @dataclass(frozen=True)
 class ComplexSlice:
-    """The matrix of one differential restricted to a weight slice.
+    """One differential restricted to a weight slice, as sparse columns.
 
-    ``matrix`` has one row per codomain basis vector and one column per
-    domain basis vector; entry (row, col) is the coefficient of the row
-    basis vector in the image of the column basis vector.
+    ``columns`` holds one {codomain BasisElement: Fraction} per domain basis
+    vector, in the order of ``domain_basis``: the nonzero coefficients of its
+    image, keyed by the ``codomain_basis`` objects themselves. ``matrix``
+    derives the dense rows from them on demand.
     """
 
     kind: str
@@ -275,15 +283,21 @@ class ComplexSlice:
     weight: int
     domain_basis: tuple
     codomain_basis: tuple
-    matrix: tuple  # rows of Fractions
+    columns: tuple  # one {codomain BasisElement: Fraction} per domain vector
 
     @property
     def domain_dimension(self) -> int:
         return len(self.domain_basis)
 
     @property
-    def codomain_dimension(self) -> int:
-        return len(self.codomain_basis)
+    def matrix(self) -> tuple:
+        """Dense rows: entry (row, col) is the coefficient of codomain_basis[row] in column col."""
+        index = {entry: row for row, entry in enumerate(self.codomain_basis)}
+        rows = [[Fraction(0)] * len(self.columns) for _ in self.codomain_basis]
+        for col, column in enumerate(self.columns):
+            for key, coeff in column.items():
+                rows[index[key]][col] = coeff
+        return tuple(tuple(row) for row in rows)
 
     def to_text(self) -> str:
         """Dense rational grid with the ordered bases, for golden files."""
@@ -319,22 +333,23 @@ def basis_image(structure: PoissonStructure, module: PoissonModule, kind: str,
 
 def assemble_slice(structure: PoissonStructure, module: PoissonModule,
                    kind: str, degree: int, weight: int) -> ComplexSlice:
-    """Matrix of the differential leaving slice (degree, weight)."""
+    """Columns of the differential leaving slice (degree, weight)."""
     shift = graded_weight_shift(structure, module)
     domain = slice_basis(module, kind, degree, weight)
     codomain_degree = degree + 1 if kind == "cochain" else degree - 1
     codomain = slice_basis(module, kind, codomain_degree, weight + shift)
-    index = {entry: row for row, entry in enumerate(codomain)}
-    matrix = [[Fraction(0)] * len(domain) for _ in codomain]
-    for col, entry in enumerate(domain):
+    own = {entry: entry for entry in codomain}  # columns reuse the codomain key objects
+    columns = []
+    for entry in domain:
+        column = {}
         for key, coeff in basis_image(structure, module, kind, degree, entry).items():
-            row = index.get(key)
-            if row is None:
+            shared = own.get(key)
+            if shared is None:
                 raise GradedModeError(
                     f"image of {entry} leaves the expected slice at {key}"
                 )
-            matrix[row][col] = coeff
+            column[shared] = coeff
+        columns.append(column)
     return ComplexSlice(
-        kind, degree, weight, tuple(domain), tuple(codomain),
-        tuple(tuple(row) for row in matrix),
+        kind, degree, weight, tuple(domain), tuple(codomain), tuple(columns)
     )

@@ -119,10 +119,9 @@ def matrix_rank(matrix) -> int:
 
 
 def _ranked(cache, module, piece):
-    """Record (domain dimension, matrix rank) of a slice of ``module``; return the slice."""
+    """Record (domain dimension, matrix rank) of a slice of ``module``."""
     key = (module, piece.kind, piece.degree, piece.weight)
     cache[key] = (piece.domain_dimension, matrix_rank(piece.matrix))
-    return piece
 
 
 def _slice_rank(structure, module, kind, degree, weight, cache):
@@ -158,12 +157,6 @@ class BettiTable:
     kind: str  # "homology" | "cohomology"
     entries: dict  # (degree, weight) -> int
     metadata: dict
-
-    def dimension(self, degree: int, weight: int) -> int:
-        return self.entries.get((degree, weight), 0)
-
-    def total(self, degree: int) -> int:
-        return sum(d for (k, _), d in self.entries.items() if k == degree)
 
     def to_dict(self) -> dict:
         return {
@@ -307,26 +300,21 @@ class DualityReport:
         }
 
 
-def _modular_components(structure: PoissonStructure, phi: MultiVector) -> tuple:
-    return tuple(phi.evaluate(x_i) for x_i in structure.coordinates)
-
-
 def random_cochain_element(rng: random.Random, module: PoissonModule,
-                           degree: int, max_coeff_degree: int = 4,
-                           terms: int = 3) -> ModuleCochainElement:
+                           degree: int) -> ModuleCochainElement:
     """Seeded random element of the cochain space in the given degree.
 
-    Distribution (documented for reproducibility): up to ``terms`` summands;
-    each picks a section, an index tuple, a monomial of total degree <=
-    ``max_coeff_degree`` and a nonzero integer coefficient in -3..3.
+    Distribution (documented for reproducibility): up to 3 summands; each
+    picks a section, an index tuple, a monomial of total degree <= 4 and a
+    nonzero integer coefficient in -3..3.
     """
     n = module.nvars
     tuples = list(combinations(range(n), degree))
     element = ModuleCochainElement.zero(module.rank, n, degree)
-    for _ in range(rng.randint(1, terms)):
+    for _ in range(rng.randint(1, 3)):
         section = rng.randrange(module.rank)
         idx = tuples[rng.randrange(len(tuples))]
-        mdeg = rng.randint(0, max_coeff_degree)
+        mdeg = rng.randint(0, 4)
         monos = monomials_of_degree(n, mdeg)
         exps = monos[rng.randrange(len(monos))]
         coeff = rng.choice([-3, -2, -1, 1, 2, 3])
@@ -344,16 +332,6 @@ def _diagram_check(structure, module, twisted, mu, element):
 
 def _failure(degree, element, lhs, rhs) -> dict:
     return {"degree": degree, "element": element.text(), "lhs": lhs.text(), "rhs": rhs.text()}
-
-
-def _columns(piece) -> dict:
-    """{domain BasisElement: {codomain BasisElement: Fraction}} of a slice matrix."""
-    columns = {entry: {} for entry in piece.domain_basis}
-    for key, row in zip(piece.codomain_basis, piece.matrix):
-        for entry, coeff in zip(piece.domain_basis, row):
-            if coeff:
-                columns[entry][key] = coeff
-    return columns
 
 
 def verify_duality(structure: PoissonStructure, module: PoissonModule,
@@ -379,7 +357,7 @@ def verify_duality(structure: PoissonStructure, module: PoissonModule,
     report = DualityReport(
         nvars=n,
         rank=module.rank,
-        modular_field=_modular_components(structure, phi),
+        modular_field=tuple(phi.evaluate(x_i) for x_i in structure.coordinates),
         max_weight=max_weight,
         trials=trials,
         seed=seed,
@@ -400,10 +378,11 @@ def verify_duality(structure: PoissonStructure, module: PoissonModule,
         for weight in range(-degree, max_weight + 1):
             if report.graded:
                 cochains = assemble_slice(structure, module, "cochain", degree, weight)
-                delta = _columns(_ranked(cache, module, cochains)).items()
-                del cochains  # freed before the next slice is assembled
+                _ranked(cache, module, cochains)
+                delta = zip(cochains.domain_basis, cochains.columns)
+                del cochains  # its columns live on only in delta
                 chains = assemble_slice(structure, twisted, "chain", n - degree, weight + n)
-                boundary = _columns(chains).__getitem__
+                boundary = dict(zip(chains.domain_basis, chains.columns)).__getitem__
             else:  # one basis vector at a time
                 delta = ((e, basis_image(structure, module, "cochain", degree, e))
                          for e in slice_basis(module, "cochain", degree, weight))

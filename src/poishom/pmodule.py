@@ -74,25 +74,6 @@ class PoissonModule:
         m = tuple(tuple(tuple(zero for _ in range(rank)) for _ in range(rank)) for _ in range(nvars))
         return cls(nvars, rank, m)
 
-    def module_fields(self):
-        """The W-valued vector fields {e_a,-}_W, as vectors v[a][b] of fields.
-
-        Component (a, b) is sum_i B_i[a][b] d/dx_i; contracting forms with
-        these implements the module correction of the chain differential.
-        """
-        fields = []
-        for a in range(self.rank):
-            row = []
-            for b in range(self.rank):
-                terms = {}
-                for i in range(self.nvars):
-                    entry = self.brackets[i][a][b]
-                    if not entry.is_zero():
-                        terms[(i,)] = entry
-                row.append(MultiVector(self.nvars, 1, terms))
-            fields.append(tuple(row))
-        return tuple(fields)
-
     # ------------------------------------------------------------------
     # connection dictionary: B_i = -Gamma_i
 
@@ -103,11 +84,6 @@ class PoissonModule:
             tuple(tuple(-entry for entry in row) for row in m) for m in gammas
         )
         return cls(nvars, rank, negated)
-
-    def to_connection(self):
-        return tuple(
-            tuple(tuple(-entry for entry in row) for row in m) for m in self.brackets
-        )
 
     # ------------------------------------------------------------------
 

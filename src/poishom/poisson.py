@@ -53,7 +53,7 @@ class PoissonStructure:
     instance is a Poisson structure, and no operation checks again.
     """
 
-    __slots__ = ("bivector", "nvars", "coordinates")
+    __slots__ = ("bivector", "nvars", "coordinates", "_modular")
 
     def __init__(self, bivector: MultiVector):
         if not isinstance(bivector, MultiVector):
@@ -67,6 +67,7 @@ class PoissonStructure:
         object.__setattr__(self, "nvars", n)
         # the coordinate functions x_1..x_n, built once (a Poly is immutable)
         object.__setattr__(self, "coordinates", tuple(Poly.variable(n, i) for i in range(n)))
+        object.__setattr__(self, "_modular", {})  # VolumeForm -> checked modular field
         x, br = self.coordinates, self.bracket
         for i, j, k in combinations(range(n), 3):
             jac = (br(br(x[i], x[j]), x[k]) + br(br(x[j], x[k]), x[i])
@@ -125,8 +126,10 @@ class PoissonStructure:
         The result is cross-validated against the Lie-derivative
         characterization L_{X_{x_i}} mu = phi(x_i) mu on every coordinate;
         a disagreement raises ``ModularFieldError`` with the coordinate and
-        both sides.
+        both sides. A field that passes is kept per volume on this instance.
         """
+        if mu in self._modular:
+            return self._modular[mu]
         n = self.nvars
         mu_form = mu.form(n)
         boundary = self.koszul_differential(mu_form)
@@ -146,6 +149,7 @@ class PoissonStructure:
             rhs = mu_form.scale(phi.evaluate(x_i))
             if lhs != rhs:
                 raise ModularFieldError((i, lhs, rhs))
+        self._modular[mu] = phi
         return phi
 
     # ------------------------------------------------------------------

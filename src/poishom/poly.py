@@ -30,6 +30,10 @@ MAX_PARSE_DEGREE = 32
 # input, and the Jacobi check (quadratic in the term count), run for minutes.
 MAX_PARSE_TERMS = 1000
 
+# Deepest parenthesis nesting the parser follows; each level costs a few
+# interpreter frames, so far deeper input would end in a RecursionError.
+MAX_PARSE_NESTING = 100
+
 
 def _as_fraction(value) -> Fraction:
     if isinstance(value, Fraction):
@@ -282,7 +286,8 @@ class Poly:
         as degree 1), or whose predicted number of terms would exceed
         ``MAX_PARSE_TERMS`` (t1*t2 for a product, C(t+e-1, e) for a t-term
         base to the power e), raises ``ParseError`` before anything is
-        multiplied.
+        multiplied; so does parenthesis nesting deeper than
+        ``MAX_PARSE_NESTING``.
         """
         return _Parser(text, variables).parse()
 
@@ -293,6 +298,7 @@ class _Parser:
             raise ValueError(f"duplicate variable names: {list(variables)}")
         self.text = text
         self.pos = 0
+        self.depth = 0  # open parentheses around the current position
         self.variables = list(variables)
         self.nvars = len(self.variables)
 
@@ -357,17 +363,21 @@ class _Parser:
             self.pos += 1
             start = self.pos
             factor = self._factor()
-            _check_degree(_degree(acc) + _degree(factor), start)
-            _check_terms(len(acc.terms) * len(factor.terms), start)
+            _check_limit("degree", _degree(acc) + _degree(factor), MAX_PARSE_DEGREE, start)
+            terms = len(acc.terms) * len(factor.terms)
+            _check_limit("term count", terms, MAX_PARSE_TERMS, start)
             acc = acc * factor
         return acc
 
     def _factor(self) -> Poly:
         ch = self._peek()
         if ch == "(":
+            self.depth += 1
+            _check_limit("nesting depth", self.depth, MAX_PARSE_NESTING, self.pos)
             self.pos += 1
             inner = self._expr()
             self._take(")")
+            self.depth -= 1
             return self._maybe_power(inner)
         if ch.isdigit():
             num = self._number()
@@ -395,10 +405,11 @@ class _Parser:
             self.pos += 1
             start = self.pos
             exponent = self._number()
-            _check_degree(max(_degree(base), 1) * exponent, start)
+            _check_limit("degree", max(_degree(base), 1) * exponent, MAX_PARSE_DEGREE, start)
             # a t-term power has at most as many terms as there are
             # monomials of degree e in t variables
-            _check_terms(comb(max(len(base.terms), 1) + exponent - 1, exponent), start)
+            terms = comb(max(len(base.terms), 1) + exponent - 1, exponent)
+            _check_limit("term count", terms, MAX_PARSE_TERMS, start)
             return base**exponent
         return base
 
@@ -407,14 +418,9 @@ def _degree(poly: Poly) -> int:
     return max(map(sum, poly.terms), default=0)
 
 
-def _check_degree(degree: int, position: int):
-    if degree > MAX_PARSE_DEGREE:
-        raise ParseError(f"degree {degree} exceeds the limit {MAX_PARSE_DEGREE}", position)
-
-
-def _check_terms(terms: int, position: int):
-    if terms > MAX_PARSE_TERMS:
-        raise ParseError(f"term count {terms} exceeds the limit {MAX_PARSE_TERMS}", position)
+def _check_limit(what: str, value: int, limit: int, position: int):
+    if value > limit:
+        raise ParseError(f"{what} {value} exceeds the limit {limit}", position)
 
 
 def monomials_of_degree(nvars: int, degree: int):

@@ -7,7 +7,7 @@ from time import perf_counter
 
 import pytest
 
-from poishom import Poly
+from poishom import Poly, lie_derivative
 from poishom.cli import EXIT_INPUT, EXIT_MATH, EXIT_MODE, EXIT_OK, load, main
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
@@ -147,6 +147,22 @@ def test_oversized_term_count_exits_3_before_expanding(tmp_path, capsys):
     _exits_3_within_a_second(["check", path], capsys)
 
 
+def test_deeply_nested_polynomial_exits_3(tmp_path, capsys):
+    deep = "(" * 2000 + "x" + ")" * 2000
+    path = write(
+        tmp_path, "nested.json",
+        {"variables": ["x", "y"], "poisson": {"1,2": deep}, "volume": "1"},
+    )
+    _exits_3_within_a_second(["check", path], capsys)
+
+
+def test_deeply_nested_json_exits_3(tmp_path, capsys):
+    path = tmp_path / "nested.json"
+    path.write_text('{"variables": ["x", "y"], "poisson": {"1,2": "x"}, "volume": "1", '
+                    '"module": ' + "[" * 100000 + "]" * 100000 + "}")
+    _exits_3_within_a_second(["check", str(path)], capsys)
+
+
 def test_every_shipped_problem_file_loads():
     bench_inputs = PROBLEMS.parent / "bench" / "inputs"
     paths = sorted(PROBLEMS.glob("*.json")) + sorted(bench_inputs.glob("*.json"))
@@ -234,6 +250,22 @@ def test_modular_cross_check_failure_exits_1_with_witness(command, monkeypatch, 
     }]
     if command == "check":
         assert report["results"] == {"jacobi": True, "flat": True, "ok": False}
+
+
+def test_duality_with_modular_twist_computes_the_modular_field_once(monkeypatch):
+    # the twist and the duality check share one modular field per volume
+    calls = []
+
+    def counted(field, omega):
+        calls.append(field)
+        return lie_derivative(field, omega)
+
+    monkeypatch.setattr("poishom.poisson.lie_derivative", counted)
+    path = PROBLEMS / "quadratic.json"
+    assert json.loads(path.read_text())["twist"] == "modular"
+    argv = ["duality", str(path), "--max-weight", "1", "--trials", "0"]
+    assert main(argv) == EXIT_OK
+    assert len(calls) == 2  # one cross-check per coordinate of R^2
 
 
 def test_closed_stdout_exits_quietly():

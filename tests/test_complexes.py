@@ -1,9 +1,11 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from poishom import (
+    BasisElement,
     Form,
     GradedModeError,
     ModuleChainElement,
@@ -358,7 +360,7 @@ def test_assemble_slice_symplectic_weight_one_functions():
     # delta^0 on span{x, y} has rank 2
     piece = assemble_slice(symplectic2(), PoissonModule.trivial(2, 1), "cochain", 0, 1)
     assert piece.domain_dimension == 2
-    assert piece.codomain_dimension == 2
+    assert len(piece.codomain_basis) == 2
     from poishom import matrix_rank
 
     assert matrix_rank(piece.matrix) == 2
@@ -370,6 +372,15 @@ def test_assemble_slice_deterministic():
     a = assemble_slice(P, W, "chain", 1, 3)
     b = assemble_slice(P, W, "chain", 1, 3)
     assert a.matrix == b.matrix and a.domain_basis == b.domain_basis
+
+
+def test_assemble_slice_rejects_image_outside_the_codomain_slice(monkeypatch):
+    stray = BasisElement(0, (0,), (5, 0))
+    monkeypatch.setattr("poishom.complexes.basis_image", lambda *args: {stray: Fraction(1)})
+    entry = slice_basis(PoissonModule.trivial(2, 1), "cochain", 0, 1)[0]
+    message = f"image of {entry} leaves the expected slice at {stray}"
+    with pytest.raises(GradedModeError, match=re.escape(message)):
+        assemble_slice(symplectic2(), PoissonModule.trivial(2, 1), "cochain", 0, 1)
 
 
 def _rebuild(module, kind, degree, image):

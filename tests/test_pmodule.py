@@ -167,7 +167,9 @@ def test_connection_round_trip_and_sign():
             for _ in range(2)
         )
         W = PoissonModule.from_connection(2, 2, gammas)
-        assert W.to_connection() == gammas
+        assert W.brackets == tuple(
+            tuple(tuple(-entry for entry in row) for row in m) for m in gammas
+        )
     W = PoissonModule.from_connection(2, 1, (((p2("x"),),), ((p2("0"),),)))
     assert W.brackets[0][0][0] == p2("-x")
 
@@ -247,7 +249,6 @@ def test_elw_zero_structure_is_trivial():
 
 def test_elw_quadratic_matrices():
     E = elw_connection(quadratic2(), VolumeForm())
-    assert E.to_connection()[0][0][0] == p2("x")
     assert E.brackets[0][0][0] == p2("-x")
     assert E.brackets[1][0][0] == p2("y")
 

@@ -4,7 +4,12 @@ from fractions import Fraction
 import pytest
 
 from poishom import DimensionError, ParseError, Poly
-from poishom.poly import MAX_PARSE_DEGREE, MAX_PARSE_TERMS, monomials_of_degree
+from poishom.poly import (
+    MAX_PARSE_DEGREE,
+    MAX_PARSE_NESTING,
+    MAX_PARSE_TERMS,
+    monomials_of_degree,
+)
 
 from catalog import XY, eval_poly, p2, rand_point, rand_poly
 
@@ -53,6 +58,14 @@ def test_parse_degree_cap():
                  f"x*(x+y)^{top}"]:
         with pytest.raises(ParseError, match="exceeds the limit"):
             p2(text)
+
+
+def test_parse_nesting_cap():
+    top = MAX_PARSE_NESTING
+    assert p2("(" * top + "x" + ")" * top + "^2") == p2("x^2")
+    for depth in (top + 1, 2000):  # 2000 levels overflowed the interpreter stack
+        with pytest.raises(ParseError, match=f"nesting depth {top + 1} exceeds the limit"):
+            p2("(" * depth + "x" + ")" * depth)
 
 
 def test_parse_term_cap():
