@@ -52,7 +52,7 @@ from .errors import (
 from .homology import betti_table, spec_digest, verify_duality
 from .pmodule import PoissonModule, twist
 from .poisson import PoissonStructure, VolumeForm
-from .poly import Poly
+from .poly import MAX_MODULE_RANK, Poly
 
 EXIT_OK = 0
 EXIT_MATH = 1
@@ -153,6 +153,8 @@ def load(path: str) -> ProblemSpec:
         rank = module_data.get("rank")
         _require(isinstance(rank, int) and rank >= 1, "module.rank",
                  "expected a positive integer")
+        _require(rank <= MAX_MODULE_RANK, "module.rank",
+                 f"rank {rank} exceeds the limit {MAX_MODULE_RANK}")
         bracket = module_data.get("bracket")
         _require(isinstance(bracket, dict), "module.bracket", "expected an object")
         zero = Poly.zero(n)
@@ -347,7 +349,7 @@ def _cmd_duality(run: _Run, args):
     run.results["duality"] = report.to_dict(run.names)
     if not report.ok():
         run.exit_code = EXIT_MATH
-        for failure in report.diagram_failures + report.random_failures:
+        for failure in report.diagram_failures:
             run.witnesses.append({"check": "duality_diagram", **failure})
         for pair in report.betti_pairs:
             if not pair["equal"]:

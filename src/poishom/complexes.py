@@ -286,10 +286,6 @@ class ComplexSlice:
     columns: tuple  # one {codomain BasisElement: Fraction} per domain vector
 
     @property
-    def domain_dimension(self) -> int:
-        return len(self.domain_basis)
-
-    @property
     def matrix(self) -> tuple:
         """Dense rows: entry (row, col) is the coefficient of codomain_basis[row] in column col."""
         index = {entry: row for row, entry in enumerate(self.codomain_basis)}

@@ -14,7 +14,7 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import combinations
@@ -121,7 +121,7 @@ def matrix_rank(matrix) -> int:
 def _ranked(cache, module, piece):
     """Record (domain dimension, matrix rank) of a slice of ``module``."""
     key = (module, piece.kind, piece.degree, piece.weight)
-    cache[key] = (piece.domain_dimension, matrix_rank(piece.matrix))
+    cache[key] = (len(piece.domain_basis), matrix_rank(piece.matrix))
 
 
 def _slice_rank(structure, module, kind, degree, weight, cache):
@@ -169,15 +169,13 @@ class BettiTable:
         }
 
 
-def structure_digest(bivector: MultiVector, module: PoissonModule | None = None,
+def structure_digest(bivector: MultiVector, module: PoissonModule,
                      mu: VolumeForm | None = None) -> str:
     """Stable hash of the mathematical input data."""
-    pieces = [str(bivector.nvars), bivector.text()]
-    if module is not None:
-        pieces.append(str(module.rank))
-        for m in module.brackets:
-            for row in m:
-                pieces.extend(p.text() for p in row)
+    pieces = [str(bivector.nvars), bivector.text(), str(module.rank)]
+    for m in module.brackets:
+        for row in m:
+            pieces.extend(p.text() for p in row)
     if mu is not None:
         pieces.append(str(mu.coefficient))
     return hashlib.sha256("|".join(pieces).encode()).hexdigest()[:16]
@@ -199,7 +197,7 @@ def betti_table(structure: PoissonStructure, module: PoissonModule,
     """Betti numbers for all degrees 0..n and weights up to ``max_weight``.
 
     Cohomology slices in degree k start at weight -k, homology slices at
-    weight +k; empty slices are skipped. The metadata records the weight
+    weight +k, so no slice in range is empty. The metadata records the weight
     cap, so absence of (co)homology is only ever claimed within it.
     """
     if kind not in ("homology", "cohomology"):
@@ -212,8 +210,6 @@ def betti_table(structure: PoissonStructure, module: PoissonModule,
     for degree in range(n + 1):
         low = -degree if kind == "cohomology" else degree
         for weight in range(low, max_weight + 1):
-            if not slice_basis(module, slice_kind, degree, weight):
-                continue
             entries[(degree, weight)] = betti(
                 structure, module, slice_kind, degree, weight, _cache=cache
             )
@@ -231,15 +227,16 @@ def betti_table(structure: PoissonStructure, module: PoissonModule,
 # duality verification
 
 
-@dataclass
+@dataclass(frozen=True)
 class DualityReport:
     """Outcome of the chain-level and Betti-level duality checks.
 
     The chain-level part verifies, one monomial basis column at a time, that
     the twisted chain differential after the signed volume contraction
-    equals the contraction of the cochain differential. The Betti part compares
-    dim HP^k(W) at weight w with dim HP_{n-k}(W twisted by the opposite
-    modular field) at weight w+n, computed by independent rank runs.
+    equals the contraction of the cochain differential; its failures list
+    the basis vectors, then the random trials. The Betti part (graded mode:
+    ``weight_shift`` set) compares dim HP^k(W) at weight w with
+    dim HP_{n-k}(W twisted by the opposite modular field) at weight w+n.
     """
 
     nvars: int
@@ -248,20 +245,25 @@ class DualityReport:
     max_weight: int
     trials: int
     seed: int
-    diagram_total: int = 0
-    diagram_failures: list = field(default_factory=list)
-    random_total: int = 0
-    random_failures: list = field(default_factory=list)
-    graded: bool = False
-    weight_shift: int | None = None
-    graded_note: str = ""
-    betti_pairs: list = field(default_factory=list)
-    betti_failures: int = 0
-    spec_digest: str = ""
+    spec_digest: str
+    diagram_total: int
+    diagram_failures: list
+    random_total: int  # trials run
+    weight_shift: int | None  # None outside graded mode
+    graded_note: str
+    betti_pairs: list
+
+    @property
+    def graded(self) -> bool:
+        return self.weight_shift is not None
+
+    @property
+    def betti_failures(self) -> int:
+        return sum(not pair["equal"] for pair in self.betti_pairs)
 
     @property
     def diagram_ok(self) -> bool:
-        return not self.diagram_failures and not self.random_failures
+        return not self.diagram_failures
 
     @property
     def betti_ok(self) -> bool:
@@ -285,7 +287,7 @@ class DualityReport:
             "diagram": {
                 "checked": self.diagram_total,
                 "random_checked": self.random_total,
-                "failures": self.diagram_failures + self.random_failures,
+                "failures": self.diagram_failures,
                 "ok": self.diagram_ok,
             },
             "betti": {
@@ -337,24 +339,83 @@ def _failure(degree, element, lhs, rhs) -> dict:
 def verify_duality(structure: PoissonStructure, module: PoissonModule,
                    mu: VolumeForm, max_weight: int = 6, trials: int = 0,
                    seed: int = 0) -> DualityReport:
-    """Verify the twisted duality square and the Betti equalities.
+    """Verify the twisted duality square, then the Betti equalities.
 
-    Chain level: for every monomial basis vector e of the cochain slices
-    (k, w) with w <= ``max_weight``, check exactly that the twisted chain
-    differential of T e equals T of the cochain differential of e, where T
-    is ``blacktriangle``. T relabels and scales basis vectors, so this
-    compares columns: in graded mode those of the cochain slice (k, w) and
-    the twisted chain slice (n-k, w+n), whose ranks then serve the Betti
-    numbers; otherwise those of ``basis_image``. Failing basis vectors and
-    the ``trials`` seeded random elements go through the object-level
-    differentials, which give the witnesses. Betti level (graded mode
-    only): dim HP^k(W) at weight w must equal dim HP_{n-k}(W twisted by
-    the opposite modular field) at weight w+n for all computed (k, w).
+    Chain-level pass: for every monomial basis vector e of the cochain
+    slices (k, w) with w <= ``max_weight``, check exactly that the twisted
+    chain differential of T e equals T of the cochain differential of e,
+    where T is ``blacktriangle``. T relabels and scales basis vectors, so
+    this compares columns: in graded mode those of the cochain slice (k, w)
+    and the twisted chain slice (n-k, w+n), whose ranks it records;
+    otherwise those of ``basis_image``. Failing basis vectors and the
+    ``trials`` seeded random elements go through the object-level
+    differentials, which give the witnesses. Betti-level pass (graded mode
+    only), over the same (k, w): dim HP^k(W) at weight w must equal
+    dim HP_{n-k}(W twisted by the opposite modular field) at weight w+n.
     """
     n = structure.nvars
     phi = structure.modular_vector_field(mu)
     twisted = twist(module, structure, -phi)
-    report = DualityReport(
+    try:
+        shift, note = graded_weight_shift(structure, module), ""
+    except GradedModeError as exc:
+        shift, note = None, f"Betti comparison skipped: {exc}"
+
+    slices = [(k, w) for k in range(n + 1) for w in range(-k, max_weight + 1)]
+    cache: dict = {}
+    checked = 0
+    failures = []
+    for degree, weight in slices:
+        if shift is not None:
+            cochains = assemble_slice(structure, module, "cochain", degree, weight)
+            _ranked(cache, module, cochains)
+            delta = zip(cochains.domain_basis, cochains.columns)
+            del cochains  # its columns live on only in delta
+            chains = assemble_slice(structure, twisted, "chain", n - degree, weight + n)
+            boundary = dict(zip(chains.domain_basis, chains.columns)).__getitem__
+        else:  # one basis vector at a time
+            delta = ((e, basis_image(structure, module, "cochain", degree, e))
+                     for e in slice_basis(module, "cochain", degree, weight))
+            boundary = partial(basis_image, structure, twisted, "chain", n - degree)
+        for entry, image in delta:
+            checked += 1
+            target, scale = blacktriangle_basis(mu, n, entry)
+            rhs = {}
+            for key, coeff in image.items():
+                relabelled, sign = blacktriangle_basis(mu, n, key)
+                rhs[relabelled] = sign * coeff
+            if rhs != {key: scale * c for key, c in boundary(target).items()}:
+                element = element_from_basis(module, "cochain", degree, entry)
+                failures.append(_failure(
+                    degree, element, *_diagram_check(structure, module, twisted, mu, element)
+                ))
+        if shift is not None:
+            del delta, boundary  # rank with one slice in memory
+            _ranked(cache, twisted, chains)
+            del chains
+
+    pairs = []
+    for degree, weight in (slices if shift is not None else ()):
+        cochain_dim = betti(structure, module, "cochain", degree, weight, _cache=cache)
+        chain_dim = betti(structure, twisted, "chain", n - degree, weight + n, _cache=cache)
+        pairs.append({
+            "degree": degree,
+            "weight": weight,
+            "cohomology_dim": cochain_dim,
+            "homology_degree": n - degree,
+            "homology_weight": weight + n,
+            "homology_dim": chain_dim,
+            "equal": cochain_dim == chain_dim,
+        })
+
+    rng = random.Random(seed)
+    for _ in range(trials):
+        degree = rng.randint(0, n)
+        element = random_cochain_element(rng, module, degree)
+        lhs, rhs = _diagram_check(structure, module, twisted, mu, element)
+        if lhs != rhs:
+            failures.append(_failure(degree, element, lhs, rhs))
+    return DualityReport(
         nvars=n,
         rank=module.rank,
         modular_field=tuple(phi.evaluate(x_i) for x_i in structure.coordinates),
@@ -365,68 +426,10 @@ def verify_duality(structure: PoissonStructure, module: PoissonModule,
             structure.bivector, module, mu,
             {"max_weight": max_weight, "trials": trials, "seed": seed},
         ),
+        diagram_total=checked,
+        diagram_failures=failures,
+        random_total=max(trials, 0),
+        weight_shift=shift,
+        graded_note=note,
+        betti_pairs=pairs,
     )
-
-    try:
-        report.weight_shift = graded_weight_shift(structure, module)
-        report.graded = True
-    except GradedModeError as exc:
-        report.graded_note = f"Betti comparison skipped: {exc}"
-
-    cache: dict = {}
-    for degree in range(n + 1):
-        for weight in range(-degree, max_weight + 1):
-            if report.graded:
-                cochains = assemble_slice(structure, module, "cochain", degree, weight)
-                _ranked(cache, module, cochains)
-                delta = zip(cochains.domain_basis, cochains.columns)
-                del cochains  # its columns live on only in delta
-                chains = assemble_slice(structure, twisted, "chain", n - degree, weight + n)
-                boundary = dict(zip(chains.domain_basis, chains.columns)).__getitem__
-            else:  # one basis vector at a time
-                delta = ((e, basis_image(structure, module, "cochain", degree, e))
-                         for e in slice_basis(module, "cochain", degree, weight))
-                boundary = partial(basis_image, structure, twisted, "chain", n - degree)
-            for entry, image in delta:
-                report.diagram_total += 1
-                target, scale = blacktriangle_basis(mu, n, entry)
-                rhs = {}
-                for key, coeff in image.items():
-                    relabelled, sign = blacktriangle_basis(mu, n, key)
-                    rhs[relabelled] = sign * coeff
-                if rhs != {key: scale * c for key, c in boundary(target).items()}:
-                    element = element_from_basis(module, "cochain", degree, entry)
-                    report.diagram_failures.append(_failure(
-                        degree, element, *_diagram_check(structure, module, twisted, mu, element)
-                    ))
-            if not report.graded:
-                continue
-            del delta, boundary  # rank with one slice in memory, like the Betti pass
-            _ranked(cache, twisted, chains)
-            del chains
-            cochain_dim = betti(structure, module, "cochain", degree, weight, _cache=cache)
-            chain_dim = betti(
-                structure, twisted, "chain", n - degree, weight + n, _cache=cache
-            )
-            report.betti_pairs.append(
-                {
-                    "degree": degree,
-                    "weight": weight,
-                    "cohomology_dim": cochain_dim,
-                    "homology_degree": n - degree,
-                    "homology_weight": weight + n,
-                    "homology_dim": chain_dim,
-                    "equal": cochain_dim == chain_dim,
-                }
-            )
-            report.betti_failures += cochain_dim != chain_dim
-
-    rng = random.Random(seed)
-    for _ in range(trials):
-        degree = rng.randint(0, n)
-        element = random_cochain_element(rng, module, degree)
-        lhs, rhs = _diagram_check(structure, module, twisted, mu, element)
-        report.random_total += 1
-        if lhs != rhs:
-            report.random_failures.append(_failure(degree, element, lhs, rhs))
-    return report

@@ -34,6 +34,17 @@ MAX_PARSE_TERMS = 1000
 # interpreter frames, so far deeper input would end in a RecursionError.
 MAX_PARSE_NESTING = 100
 
+# Longest digit run the parser reads as one number. It is the smallest limit
+# Python lets ``sys.set_int_max_str_digits`` set, so ``int()`` accepts any
+# shorter run under every interpreter setting.
+MAX_PARSE_DIGITS = 640
+
+# Largest module rank a problem file may declare. Loading allocates rank^2
+# bracket entries per variable before reading any, and slices grow with the
+# rank: so(3) duality to weight 2 at rank 32 took 33 s on a 2-core machine.
+# The shipped inputs and tests use rank 2 at most.
+MAX_MODULE_RANK = 32
+
 
 def _as_fraction(value) -> Fraction:
     if isinstance(value, Fraction):
@@ -287,7 +298,7 @@ class Poly:
         ``MAX_PARSE_TERMS`` (t1*t2 for a product, C(t+e-1, e) for a t-term
         base to the power e), raises ``ParseError`` before anything is
         multiplied; so does parenthesis nesting deeper than
-        ``MAX_PARSE_NESTING``.
+        ``MAX_PARSE_NESTING`` or a number longer than ``MAX_PARSE_DIGITS``.
         """
         return _Parser(text, variables).parse()
 
@@ -320,10 +331,11 @@ class _Parser:
     def _number(self) -> int:
         self._skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
             self.pos += 1
         if self.pos == start:
             raise ParseError("expected a number", start)
+        _check_limit("digit count", self.pos - start, MAX_PARSE_DIGITS, start)
         return int(self.text[start : self.pos])
 
     def _name(self) -> str:
@@ -379,7 +391,7 @@ class _Parser:
             self._take(")")
             self.depth -= 1
             return self._maybe_power(inner)
-        if ch.isdigit():
+        if ch.isdecimal():
             num = self._number()
             if self._peek() == "/":
                 self.pos += 1

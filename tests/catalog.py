@@ -58,6 +58,19 @@ def so3() -> PoissonStructure:
     )
 
 
+def heisenberg3() -> PoissonStructure:
+    """Lie-Poisson structure of the Heisenberg algebra: {x,y} = z (degree 1)."""
+    return PoissonStructure(bivector(3, {(0, 1): p3("z")}))
+
+
+def bianchi5() -> PoissonStructure:
+    """Lie-Poisson structure of Bianchi type V: {x,z} = -x, {y,z} = -y
+    (degree 1). The algebra is not unimodular (tr ad z = 2), so the modular
+    field is a nonzero constant (Weinstein, "The modular automorphism group
+    of a Poisson manifold", J. Geom. Phys. 23, 1997)."""
+    return PoissonStructure(bivector(3, {(0, 2): p3("-x"), (1, 2): p3("-y")}))
+
+
 def zero2() -> PoissonStructure:
     return PoissonStructure(MultiVector.zero(2, 2))
 
@@ -340,7 +353,8 @@ def cochain_differential_oracle(structure, module, element):
 
 
 def rank_oracle(rows) -> int:
-    """Naive rational Gaussian elimination, independent of Bareiss."""
+    """Naive rational Gaussian elimination, independent of ``matrix_rank``'s
+    sparse elimination."""
     rows = [[Fraction(c) for c in row] for row in rows]
     rank = 0
     ncols = len(rows[0]) if rows else 0

@@ -163,6 +163,26 @@ def test_deeply_nested_json_exits_3(tmp_path, capsys):
     _exits_3_within_a_second(["check", str(path)], capsys)
 
 
+@pytest.mark.parametrize("entry", ["9" * 5000 + "*x", "x^" + "9" * 5000])
+def test_long_number_exits_3(tmp_path, capsys, entry):
+    # past the interpreter's 4,300-digit int() limit; was a ValueError traceback
+    path = write(
+        tmp_path, "digits.json",
+        {"variables": ["x", "y"], "poisson": {"1,2": entry}, "volume": "1"},
+    )
+    _exits_3_within_a_second(["check", path], capsys)
+
+
+def test_oversized_module_rank_exits_3_before_allocating(tmp_path, capsys):
+    # loading allocates rank^2 bracket entries per variable before reading any
+    path = write(
+        tmp_path, "rank.json",
+        {"variables": ["x", "y"], "poisson": {"1,2": "1"}, "volume": "1",
+         "module": {"rank": 1000000000, "bracket": {}}},
+    )
+    _exits_3_within_a_second(["check", path], capsys)
+
+
 def test_every_shipped_problem_file_loads():
     bench_inputs = PROBLEMS.parent / "bench" / "inputs"
     paths = sorted(PROBLEMS.glob("*.json")) + sorted(bench_inputs.glob("*.json"))

@@ -33,8 +33,10 @@ from poishom.calculus import ModuleCochainElement
 
 from catalog import (
     XYZ,
+    bianchi5,
     generic2,
     graded_catalog,
+    heisenberg3,
     p2,
     quadratic2,
     quadratic_rank2,
@@ -218,6 +220,30 @@ def test_so3_casimir_dimensions():
     assert table.entries == expected
 
 
+def test_lie_poisson_constant_slices_give_lie_algebra_betti_numbers():
+    """For the Lie-Poisson structure of a Lie algebra g, the constant
+    k-vectors are exactly slice (k, -k), and there the Poisson differential
+    is the Chevalley-Eilenberg differential of g with trivial coefficients
+    (Chevalley and Eilenberg, Trans. AMS 63, 1948). So HP^k at weight -k is
+    the Lie algebra Betti number b_k(g): (1, 2, 2, 1) for the Heisenberg
+    algebra, (1, 1, 0, 0) for Bianchi V, which is not unimodular."""
+    W = PoissonModule.trivial(3, 1)
+    for structure, expected in [(heisenberg3(), [1, 2, 2, 1]), (bianchi5(), [1, 1, 0, 0])]:
+        assert [betti(structure, W, "cochain", k, -k) for k in range(4)] == expected
+
+
+def test_verify_duality_bianchi5_twists_the_trivial_line():
+    # the modular field is the constant -2 d/dz (Weinstein, J. Geom. Phys. 23,
+    # 1997), so the twisted module has a nonzero z-bracket, unlike W
+    P = bianchi5()
+    W = PoissonModule.trivial(3, 1)
+    report = verify_duality(P, W, VolumeForm(), 2, 5, 0)
+    assert [p.text(XYZ) for p in report.modular_field] == ["0", "0", "-2"]
+    assert twist(W, P, -P.modular_vector_field(VolumeForm())) != W
+    assert report.ok() and report.weight_shift == -1
+    assert report.betti_pairs and report.random_total == 5
+
+
 def test_symplectic_r4_cohomology_is_constants():
     """{x1,x2} = {x3,x4} = 1 on R^4: for a symplectic structure the Poisson
     complex is the de Rham complex (Lichnerowicz, "Les varietes de Poisson
@@ -268,7 +294,7 @@ def test_betti_independent_of_basis_order():
         direct = betti(P, W, kind, degree, weight)
         if outgoing.matrix and incoming.matrix:
             recomputed = (
-                outgoing.domain_dimension
+                len(outgoing.domain_basis)
                 - permuted_rank(outgoing)
                 - permuted_rank(incoming)
             )
@@ -408,6 +434,42 @@ def test_diagram_pass_implies_betti_pass():
         report = verify_duality(P, W, VolumeForm(), 5, 5, 2)
         if report.diagram_ok and report.graded:
             assert report.betti_ok
+
+
+def test_duality_report_is_frozen_and_derives_its_counts():
+    import dataclasses
+
+    report = verify_duality(quadratic2(), PoissonModule.trivial(2, 1), VolumeForm(), 2, 3, 0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        report.diagram_total = 0
+    assert report.graded and report.weight_shift == 0
+    assert report.betti_failures == 0 and report.random_total == 3
+    negative = verify_duality(generic2(), PoissonModule.trivial(2, 1), VolumeForm(), 1, -4, 0)
+    assert negative.random_total == 0 and negative.trials == -4 and not negative.graded
+
+
+def test_each_slice_is_assembled_at_most_once_per_run(monkeypatch):
+    # the Betti-level pass reads the ranks the chain-level pass recorded
+    from poishom import homology
+
+    calls = []
+    assemble = homology.assemble_slice
+
+    def recording(structure, module, kind, degree, weight):
+        calls.append((module, kind, degree, weight))
+        return assemble(structure, module, kind, degree, weight)
+
+    monkeypatch.setattr(homology, "assemble_slice", recording)
+    P = quadratic2()
+    runs = [
+        lambda: verify_duality(so3(), PoissonModule.trivial(3, 1), VolumeForm(), 3, 0, 0),
+        lambda: verify_duality(P, quadratic_rank2(P), VolumeForm(), 3, 0, 0),
+        lambda: betti_table(so3(), PoissonModule.trivial(3, 1), "cohomology", 3),
+    ]
+    for run in runs:
+        calls.clear()
+        run()
+        assert calls and len(calls) == len(set(calls))
 
 
 def test_report_serialization_is_json_friendly():

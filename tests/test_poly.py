@@ -6,6 +6,7 @@ import pytest
 from poishom import DimensionError, ParseError, Poly
 from poishom.poly import (
     MAX_PARSE_DEGREE,
+    MAX_PARSE_DIGITS,
     MAX_PARSE_NESTING,
     MAX_PARSE_TERMS,
     monomials_of_degree,
@@ -66,6 +67,19 @@ def test_parse_nesting_cap():
     for depth in (top + 1, 2000):  # 2000 levels overflowed the interpreter stack
         with pytest.raises(ParseError, match=f"nesting depth {top + 1} exceeds the limit"):
             p2("(" * depth + "x" + ")" * depth)
+
+
+def test_parse_digit_cap():
+    top = MAX_PARSE_DIGITS
+    assert p2("9" * top + "*x") == p2("x").scale(int("9" * top))
+    for text, position in [("9" * 5000 + "*x", 0), ("x^" + "9" * 5000, 2),
+                           ("1/" + "7" * (top + 1), 2)]:
+        # 5,000 digits is past the interpreter's default int() limit of 4,300
+        with pytest.raises(ParseError, match=r"digit count \d+ exceeds the limit") as info:
+            p2(text)
+        assert info.value.position == position
+    with pytest.raises(ParseError, match="expected a number"):
+        p2("x^\u00b2")  # a digit that is not a decimal digit, so int() refuses it
 
 
 def test_parse_term_cap():
