@@ -52,7 +52,7 @@ from .errors import (
 from .homology import betti_table, spec_digest, verify_duality
 from .pmodule import PoissonModule, twist
 from .poisson import PoissonStructure, VolumeForm
-from .poly import MAX_MODULE_RANK, Poly
+from .poly import MAX_MODULE_RANK, MAX_VARIABLES, Poly
 
 EXIT_OK = 0
 EXIT_MATH = 1
@@ -118,6 +118,7 @@ def load(path: str) -> ProblemSpec:
              "names must be nonempty strings")
     _require(len(set(variables)) == len(variables), "variables", "duplicate names")
     n = len(variables)
+    _require(n <= MAX_VARIABLES, "variables", f"count {n} exceeds the limit {MAX_VARIABLES}")
 
     poisson = data.get("poisson")
     _require(isinstance(poisson, dict), "poisson", "expected an object")
@@ -151,7 +152,7 @@ def load(path: str) -> ProblemSpec:
     else:
         _require(isinstance(module_data, dict), "module", "expected an object")
         rank = module_data.get("rank")
-        _require(isinstance(rank, int) and rank >= 1, "module.rank",
+        _require(type(rank) is int and rank >= 1, "module.rank",  # refuses true
                  "expected a positive integer")
         _require(rank <= MAX_MODULE_RANK, "module.rank",
                  f"rank {rank} exceeds the limit {MAX_MODULE_RANK}")

@@ -5,11 +5,12 @@ decomposes, on each basis section, as
 
     e_a (x) omega  |->  e_a (x) bnd(omega) + iota_{X_a}(omega),
 
-where bnd is the scalar Koszul differential and X_a = {e_a,-}_W is the
-W-valued vector field sum_{i,b} B_i[a][b] d/dx_i e_b; the contraction is read
-term by term off the bracket matrices. The decomposition is equivalent to
-the two-sum formula on decomposables (the test suite checks this against an
-independent oracle).
+where bnd = iota_pi d - d iota_pi is the scalar Koszul differential and
+X_a = {e_a,-}_W is the W-valued vector field sum_{i,b} B_i[a][b] d/dx_i e_b.
+Slice columns read both off the exponent dicts of pi and B; the reference
+``chain_differential`` goes through the Koszul operator and builds duality
+witnesses. The decomposition is equivalent to the two-sum formula on
+decomposables (the test suite checks this against an independent oracle).
 
 Cochain side: W-valued multiderivations of degree k with the degree +1
 differential
@@ -35,6 +36,7 @@ one form that slice ranks and the duality check both read.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -310,15 +312,58 @@ class ComplexSlice:
         return "\n".join(lines)
 
 
+def _d(exps: tuple, idx: tuple):
+    """Terms (coefficient, exponents, indices) of d(x^exps dx_idx)."""
+    for s, e in enumerate(exps):
+        if e and s not in idx:
+            joined = tuple(sorted(idx + (s,)))
+            yield (-e if joined.index(s) % 2 else e), exps[:s] + (e - 1,) + exps[s + 1:], joined
+
+
+def _iota_pi(structure: PoissonStructure, exps: tuple, idx: tuple):
+    """Terms (coefficient, exponents, indices) of iota_pi(x^exps dx_idx)."""
+    for (p, q), pi_pq in structure.bivector.terms.items():
+        if p in idx and q in idx:
+            rest, sign = tuple(u for u in idx if u != p and u != q), subset_sign((p, q), idx)
+            for e, c in pi_pq.terms.items():
+                yield sign * c, tuple(map(int.__add__, exps, e)), rest
+
+
+def _chain_column(structure: PoissonStructure, module: PoissonModule, entry: BasisElement):
+    """Chain differential of e_a (x) x^alpha dx_I, read off the exponent dicts:
+    bnd = iota_pi d - d iota_pi on the monomial, then the contraction with
+    X_a, (-1)^t x^alpha B_i[a][b] e_b (x) dx_(I - i) for i = I[t]."""
+    a, idx, alpha = entry
+    out = defaultdict(int)
+    for c, exps, joined in _d(alpha, idx):
+        for c2, exps2, rest in _iota_pi(structure, exps, joined):
+            out[BasisElement(a, rest, exps2)] += c * c2
+    for c, exps, rest in _iota_pi(structure, alpha, idx):
+        for c2, exps2, joined in _d(exps, rest):
+            out[BasisElement(a, joined, exps2)] -= c * c2
+    for t, i in enumerate(idx):
+        rest = idx[:t] + idx[t + 1:]
+        for b, entry_ab in enumerate(module.brackets[i][a]):
+            for e, c in entry_ab.terms.items():
+                out[BasisElement(b, rest, tuple(map(int.__add__, alpha, e)))] += -c if t % 2 else c
+    return {key: c for key, c in out.items() if c}
+
+
 def basis_image(structure: PoissonStructure, module: PoissonModule, kind: str,
                 degree: int, entry: BasisElement) -> dict:
     """Image of one basis vector under the differential, as {BasisElement: Fraction}.
 
     Slice assembly and the chain-level duality check both read the
-    differentials through this function.
+    differentials through this function. Chain columns come from exponent
+    dicts (``_chain_column``), cochain columns from ``cochain_differential``.
     """
-    differential = cochain_differential if kind == "cochain" else chain_differential
-    image = differential(structure, module, element_from_basis(module, kind, degree, entry))
+    if kind != "cochain":
+        _require_flat(module, structure)
+        if structure.nvars != module.nvars or len(entry.indices) != degree:
+            raise DimensionError(f"{entry} is not a chain basis vector of degree {degree}")
+        return _chain_column(structure, module, entry)
+    image = cochain_differential(structure, module,
+                                 element_from_basis(module, kind, degree, entry))
     return {
         BasisElement(a, idx, exps): coeff
         for a, comp in enumerate(image.components)

@@ -159,6 +159,8 @@ def flatness_defect(module: PoissonModule, structure: PoissonStructure):
     """
     if module.nvars != structure.nvars:
         raise DimensionError("mismatched variable counts")
+    if _zero_brackets(module):  # flat for every structure
+        return None
     n, r = module.nvars, module.rank
     zero = Poly.zero(n)
     for a in range(r):
@@ -186,6 +188,10 @@ def flatness_defect(module: PoissonModule, structure: PoissonStructure):
 # twisting
 
 
+def _zero_brackets(module: PoissonModule) -> bool:
+    return all(entry.is_zero() for m in module.brackets for row in m for entry in row)
+
+
 def _require_flat(module: PoissonModule, structure: PoissonStructure):
     """Refuse a module not known to be flat for ``structure``.
 
@@ -195,7 +201,7 @@ def _require_flat(module: PoissonModule, structure: PoissonStructure):
     checked = module.structure
     if checked is structure or checked == structure:
         return
-    if any(not entry.is_zero() for m in module.brackets for row in m for entry in row):
+    if not _zero_brackets(module):
         raise PoishomError(
             "module is not known to be flat for this structure; "
             "construct it with structure= first"

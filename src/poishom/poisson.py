@@ -82,10 +82,16 @@ class PoissonStructure:
 
     def bracket(self, f: Poly, g: Poly) -> Poly:
         """{f,g} = pi(df,dg) = sum over components p_ij (f_i g_j - f_j g_i)."""
-        out = Poly._raw(self.nvars, {})
+        zero = out = Poly._raw(self.nvars, {})
+        if f.is_zero() or g.is_zero():
+            return out
+        used = {i for pair in self.bivector.terms for i in pair}
+        df, dg = ({i: h.partial(i) for i in used} for h in (f, g))  # each partial once
         for (i, j), p in self.bivector.terms.items():
-            piece = f.partial(i) * g.partial(j) - f.partial(j) * g.partial(i)
-            if not piece.is_zero():
+            piece = df[i] * dg[j] if df[i] and dg[j] else zero
+            if df[j] and dg[i]:
+                piece = piece - df[j] * dg[i]
+            if piece:
                 out = out + p * piece
         return out
 

@@ -44,6 +44,8 @@ MAX_PARSE_DIGITS = 640
 # rank: so(3) duality to weight 2 at rank 32 took 33 s on a 2-core machine.
 # The shipped inputs and tests use rank 2 at most.
 MAX_MODULE_RANK = 32
+# Largest number of variables a problem file may declare (the shipped ones use 4 at most).
+MAX_VARIABLES = 16
 
 
 def _as_fraction(value) -> Fraction:

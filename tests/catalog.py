@@ -313,6 +313,16 @@ def two_sum_chain_oracle(structure, module, wvec, f0, functions):
     return out
 
 
+def bracket_oracle(structure, f, g):
+    """{f,g} with four partials per bivector term, the direct formula."""
+    out = Poly.zero(structure.nvars)
+    for (i, j), p in structure.bivector.terms.items():
+        piece = f.partial(i) * g.partial(j) - f.partial(j) * g.partial(i)
+        if not piece.is_zero():
+            out = out + p * piece
+    return out
+
+
 def cochain_differential_oracle(structure, module, element):
     """The cochain differential evaluated on every (k+1)-subset of coordinates.
 

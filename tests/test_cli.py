@@ -183,6 +183,38 @@ def test_oversized_module_rank_exits_3_before_allocating(tmp_path, capsys):
     _exits_3_within_a_second(["check", path], capsys)
 
 
+def _trivial_rank32(nvars):
+    names = [f"v{i + 1}" for i in range(nvars)]
+    return {"variables": names, "poisson": {"1,2": "v1*v2"}, "volume": "1",
+            "module": {"rank": 32, "bracket": {}}}
+
+
+def test_too_many_variables_exit_3(tmp_path, capsys):
+    # the flatness gate used to bracket every zero entry: 75 s on a 2-core machine
+    path = write(tmp_path, "wide.json", _trivial_rank32(40))
+    _exits_3_within_a_second(["check", path], capsys)
+
+
+def test_variable_limit_checks_a_trivial_module_quickly(tmp_path, capsys):
+    path = write(tmp_path, "wide.json", _trivial_rank32(16))
+    start = perf_counter()
+    assert main(["check", path]) == EXIT_OK
+    assert perf_counter() - start < 1.0
+    assert "flat: True" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("rank", [True, False])
+def test_boolean_module_rank_exits_3(tmp_path, capsys, rank):
+    # bool subclasses int, so true used to load as rank 1
+    path = write(
+        tmp_path, "bool.json",
+        {"variables": ["x", "y"], "poisson": {"1,2": "1"}, "volume": "1",
+         "module": {"rank": rank, "bracket": {"x": [["1"]]}}},
+    )
+    assert main(["check", path]) == EXIT_INPUT
+    assert "module.rank" in capsys.readouterr().err
+
+
 def test_every_shipped_problem_file_loads():
     bench_inputs = PROBLEMS.parent / "bench" / "inputs"
     paths = sorted(PROBLEMS.glob("*.json")) + sorted(bench_inputs.glob("*.json"))

@@ -1,17 +1,21 @@
 import random
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from poishom import (
     BasisElement,
+    DimensionError,
     Form,
     GradedModeError,
     ModuleChainElement,
     ModuleCochainElement,
     MultiVector,
+    PoishomError,
     PoissonModule,
+    PoissonStructure,
     Poly,
     VolumeForm,
     assemble_slice,
@@ -27,7 +31,9 @@ from poishom import (
     star,
     star_inverse,
     twist,
+    verify_duality,
 )
+from poishom.cli import load
 from poishom.complexes import element_from_basis
 
 from catalog import (
@@ -389,30 +395,85 @@ def _rebuild(module, kind, degree, image):
     return sum(parts[1:], parts[0]) if parts else None
 
 
+def _kernel_cases():
+    """(structure, module) pairs for the chain columns: both catalogs and the
+    shipped trivial-module inputs, each module also twisted by the opposite
+    modular field exactly as ``verify_duality`` twists it."""
+    root = Path(__file__).resolve().parent.parent
+    triples = [(P, W, mu) for _, P, W, mu in chain_catalog()]
+    triples += [(P, W, mu) for _, P, W, mu, _ in graded_catalog()]
+    for path in [root / "problems" / "bianchi5.json",
+                 *sorted((root / "bench" / "inputs").glob("*.json"))]:
+        spec = load(str(path))
+        P = PoissonStructure(spec.bivector)
+        m = spec.module
+        triples.append((P, PoissonModule(m.nvars, m.rank, m.brackets, structure=P), spec.volume))
+    for P, W, mu in triples:
+        yield P, W
+        yield P, twist(W, P, -P.modular_vector_field(mu))
+
+
 def test_basis_maps_match_object_level_on_catalog():
-    # every catalog basis vector up to weight 3, both differentials and
+    # every catalog basis vector up to weight 3, the cochain differential and
     # blacktriangle, against the object-level references (the cochain side
     # against the coordinate-tuple oracle, not the function under test)
     for _, P, W, _ in chain_catalog():
         n = P.nvars
         for k in range(n + 1):
             for w in range(-n, 4):
-                for kind, differential in (("cochain", cochain_differential_oracle),
-                                           ("chain", chain_differential)):
-                    for entry in slice_basis(W, kind, k, w):
-                        element = element_from_basis(W, kind, k, entry)
-                        expected = differential(P, W, element)
-                        image = basis_image(P, W, kind, k, entry)
-                        assert all(image.values())
-                        rebuilt = _rebuild(W, kind, k + (1 if kind == "cochain" else -1), image)
-                        assert expected.is_zero() if rebuilt is None else rebuilt == expected
-                        if kind == "chain":
-                            continue
-                        for mu in (VolumeForm(), VolumeForm(Fraction(-3, 2))):
-                            target, coeff = blacktriangle_basis(mu, n, entry)
-                            assert blacktriangle(mu, element) == element_from_basis(
-                                W, "chain", n - k, target
-                            ).scale(coeff)
+                for entry in slice_basis(W, "cochain", k, w):
+                    element = element_from_basis(W, "cochain", k, entry)
+                    expected = cochain_differential_oracle(P, W, element)
+                    image = basis_image(P, W, "cochain", k, entry)
+                    assert all(image.values())
+                    rebuilt = _rebuild(W, "cochain", k + 1, image)
+                    assert expected.is_zero() if rebuilt is None else rebuilt == expected
+                    for mu in (VolumeForm(), VolumeForm(Fraction(-3, 2))):
+                        target, coeff = blacktriangle_basis(mu, n, entry)
+                        assert blacktriangle(mu, element) == element_from_basis(
+                            W, "chain", n - k, target
+                        ).scale(coeff)
+    # the chain columns, read off exponent dicts, against the Koszul-operator
+    # differential at every degree and coefficient degree 0..3
+    for P, W in _kernel_cases():
+        for q in range(P.nvars + 1):
+            for coeff_degree in range(4):
+                for entry in slice_basis(W, "chain", q, q + coeff_degree):
+                    expected = chain_differential(P, W, element_from_basis(W, "chain", q, entry))
+                    image = basis_image(P, W, "chain", q, entry)
+                    assert all(image.values())
+                    rebuilt = _rebuild(W, "chain", q - 1, image)
+                    assert expected.is_zero() if rebuilt is None else rebuilt == expected
+
+
+def test_chain_basis_image_keeps_the_gates():
+    W = quadratic_rank2(quadratic2())
+    entry = slice_basis(W, "chain", 1, 2)[0]
+    with pytest.raises(PoishomError, match="not known to be flat"):
+        basis_image(symplectic2(), W, "chain", 1, entry)
+    with pytest.raises(DimensionError):
+        basis_image(so3(), PoissonModule.trivial(2, 1), "chain", 1, entry)
+    with pytest.raises(DimensionError):
+        basis_image(quadratic2(), W, "chain", 2, entry)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: (so3(), PoissonModule.trivial(3, 1)),
+    lambda: (quadratic2(), quadratic_rank2(quadratic2())),
+], ids=["so3", "quadratic_rank2"])
+def test_verify_duality_columns_skip_the_object_level_chain_differential(monkeypatch, make):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return chain_differential(*args)
+
+    monkeypatch.setattr("poishom.complexes.chain_differential", counted)
+    monkeypatch.setattr("poishom.homology.chain_differential", counted)
+    P, W = make()
+    report = verify_duality(P, W, VolumeForm(), max_weight=3, trials=0)
+    assert report.ok() and report.diagram_total > 0
+    assert calls == []
 
 
 def test_slice_export_text_contains_grid():

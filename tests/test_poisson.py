@@ -16,8 +16,11 @@ from poishom import (
 )
 
 from catalog import (
+    bianchi5,
+    bracket_oracle,
     differential,
     generic2,
+    heisenberg3,
     nonjacobi3,
     p2,
     p3,
@@ -36,6 +39,20 @@ def field2(*texts):
 
 # ----------------------------------------------------------------------
 # bracket and Jacobi
+
+
+@pytest.mark.parametrize(
+    "make", [symplectic2, quadratic2, generic2, zero2, so3, heisenberg3, bianchi5]
+)
+def test_bracket_matches_oracle(make):
+    P = make()
+    n = P.nvars
+    rng = random.Random(11)
+    specials = [Poly.zero(n), Poly.constant(n, 3), Poly.variable(n, n - 1)]
+    pool = specials + [rand_poly(rng, n) for _ in range(12)]
+    for f in pool:
+        for g in pool:
+            assert P.bracket(f, g) == bracket_oracle(P, f, g)
 
 
 def test_bracket_constant_symplectic():
