@@ -164,7 +164,7 @@ def star_inverse(mu: VolumeForm, element: ModuleChainElement) -> ModuleCochainEl
         for idx, poly in comp.terms.items():
             complement = tuple(i for i in range(n) if i not in idx)
             sign = subset_sign(complement, tuple(range(n)))
-            terms[complement] = poly.scale(Fraction(sign, 1) / mu.coefficient)
+            terms[complement] = poly.scale(Fraction(sign, mu.coefficient))
         out.append(MultiVector(n, k, terms))
     return ModuleCochainElement(out, degree=k)
 
@@ -274,10 +274,10 @@ def element_from_basis(module: PoissonModule, kind: str, degree: int,
 class ComplexSlice:
     """One differential restricted to a weight slice, as sparse columns.
 
-    ``columns`` holds one {codomain BasisElement: Fraction} per domain basis
-    vector, in the order of ``domain_basis``: the nonzero coefficients of its
-    image, keyed by the ``codomain_basis`` objects themselves. ``matrix``
-    derives the dense rows from them on demand.
+    ``columns`` holds one {codomain BasisElement: coefficient} per domain
+    basis vector, in the order of ``domain_basis``: the nonzero coefficients
+    of its image, keyed by the ``codomain_basis`` objects themselves.
+    ``matrix`` derives the dense rows from them on demand, with int zeros.
     """
 
     kind: str
@@ -285,13 +285,13 @@ class ComplexSlice:
     weight: int
     domain_basis: tuple
     codomain_basis: tuple
-    columns: tuple  # one {codomain BasisElement: Fraction} per domain vector
+    columns: tuple  # one {codomain BasisElement: coefficient} per domain vector
 
     @property
     def matrix(self) -> tuple:
         """Dense rows: entry (row, col) is the coefficient of codomain_basis[row] in column col."""
         index = {entry: row for row, entry in enumerate(self.codomain_basis)}
-        rows = [[Fraction(0)] * len(self.columns) for _ in self.codomain_basis]
+        rows = [[0] * len(self.columns) for _ in self.codomain_basis]
         for col, column in enumerate(self.columns):
             for key, coeff in column.items():
                 rows[index[key]][col] = coeff
@@ -351,13 +351,15 @@ def _chain_column(structure: PoissonStructure, module: PoissonModule, entry: Bas
 
 def basis_image(structure: PoissonStructure, module: PoissonModule, kind: str,
                 degree: int, entry: BasisElement) -> dict:
-    """Image of one basis vector under the differential, as {BasisElement: Fraction}.
+    """Image of one basis vector under the differential, as {BasisElement: coefficient}.
 
     Slice assembly and the chain-level duality check both read the
     differentials through this function. Chain columns come from exponent
     dicts (``_chain_column``), cochain columns from ``cochain_differential``.
     """
-    if kind != "cochain":
+    if kind not in ("chain", "cochain"):
+        raise ValueError(f"unknown kind {kind!r}")
+    if kind == "chain":
         _require_flat(module, structure)
         if structure.nvars != module.nvars or len(entry.indices) != degree:
             raise DimensionError(f"{entry} is not a chain basis vector of degree {degree}")

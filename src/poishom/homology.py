@@ -15,9 +15,8 @@ import hashlib
 import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import partial
-from itertools import combinations
+from itertools import combinations, compress, count
 
 from . import __version__
 from .calculus import ModuleCochainElement, MultiVector
@@ -35,7 +34,7 @@ from .complexes import (
 from .errors import GradedModeError
 from .pmodule import PoissonModule, twist
 from .poisson import PoissonStructure, VolumeForm
-from .poly import Poly, monomials_of_degree
+from .poly import Poly, _int_or_fraction, monomials_of_degree
 
 
 def _primitive(row: dict) -> dict:
@@ -96,25 +95,35 @@ def _block_rank(rows) -> int:
     return rank
 
 
+_INTS = {int, bool}  # entry types a row may hold to be read as it is
+
+
 def matrix_rank(matrix) -> int:
     """Exact rank of a rational matrix given as dense rows.
 
-    Each nonzero row becomes a sparse primitive integer row. Rows that share
-    no column, directly or through other rows, cannot affect each other's
-    pivots, so the rows are split into such blocks and the block ranks are
-    added. Within a block, the row with the fewest nonzeros is the pivot
-    row and its column found in the fewest remaining rows is the pivot
-    column (Markowitz-style, to limit fill-in); every row meeting that
-    column becomes lead*row - entry*pivot_row, divided by its content.
+    Entries are ints (bools included) or ``Fraction``s; anything else, a
+    float say, raises ``TypeError``. Each nonzero row becomes a sparse
+    primitive integer row: its nonzero entries are read as they are, with
+    no conversion per cell, and scaled by the lcm of their denominators
+    when some are fractions. Rows that share no column, directly or
+    through other rows, cannot affect each other's pivots, so the rows are
+    split into such blocks and the block ranks are added. Within a block,
+    the row with the fewest nonzeros is the pivot row and its column found
+    in the fewest remaining rows is the pivot column (Markowitz-style, to
+    limit fill-in); every row meeting that column becomes
+    lead*row - entry*pivot_row, divided by its content.
     """
     rows = []
     for row in matrix:
-        entries = [(j, Fraction(c)) for j, c in enumerate(row) if c]
-        if entries:
-            scale = math.lcm(*(c.denominator for _, c in entries))
-            rows.append(_primitive(
-                {j: c.numerator * (scale // c.denominator) for j, c in entries}
-            ))
+        if not set(map(type, row)) <= _INTS:
+            row = [_int_or_fraction(c) for c in row]  # refuses anything inexact
+        columns = list(compress(count(), row))
+        if columns:
+            values = list(filter(None, row))
+            scale = math.lcm(*(c.denominator for c in values))
+            if scale > 1:
+                values = [c.numerator * (scale // c.denominator) for c in values]
+            rows.append(_primitive(dict(zip(columns, values))))
     return sum(_block_rank(block) for block in _blocks(rows))
 
 

@@ -15,6 +15,8 @@ nabla_{dx_i}(e_a) = sum_b Gamma_i[a][b] e_b with Gamma_i = -B_i.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .calculus import Form, MultiVector, interior_product
 from .errors import DimensionError, FlatnessError, PoishomError, PoissonFieldError
 from .poisson import PoissonStructure, VolumeForm
@@ -254,7 +256,7 @@ def elw_connection(structure: PoissonStructure, mu: VolumeForm) -> PoissonModule
     for i in range(n):
         dx_i = Form(n, 1, {(i,): Poly.constant(n, 1)})
         nabla = dx_i.wedge(contracted.d())
-        gamma = nabla.coefficient(top).scale(1 / mu.coefficient)
+        gamma = nabla.coefficient(top).scale(Fraction(1, mu.coefficient))
         gammas.append(((gamma,),))
     module = PoissonModule.from_connection(n, 1, tuple(gammas))
     return PoissonModule(n, 1, module.brackets, structure=structure)

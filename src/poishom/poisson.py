@@ -17,7 +17,7 @@ from itertools import combinations
 
 from .calculus import Form, MultiVector, interior_product, lie_derivative
 from .errors import DimensionError, JacobiError, ModularFieldError
-from .poly import Poly
+from .poly import Poly, _int_or_fraction
 
 
 @dataclass(frozen=True)
@@ -26,14 +26,15 @@ class VolumeForm:
 
     In the polynomial model the units of the coefficient ring are exactly
     the nonzero constants, so nothing more general qualifies as a volume.
+    The coefficient is stored as ``Poly`` stores one, an ``int`` when it is
+    integral and a ``Fraction`` otherwise, so the modular field, the
+    duality map and the twist stay in int arithmetic for integral volumes.
     """
 
-    coefficient: Fraction = Fraction(1)
+    coefficient: int | Fraction = 1
 
     def __post_init__(self):
-        value = self.coefficient
-        if isinstance(value, int):
-            object.__setattr__(self, "coefficient", Fraction(value))
+        object.__setattr__(self, "coefficient", _int_or_fraction(self.coefficient))
         if not self.coefficient:
             raise ValueError("a volume form needs a nonzero coefficient")
 
@@ -147,7 +148,7 @@ class PoissonStructure:
             if c.is_zero():
                 continue
             sign = -1 if i % 2 else 1
-            out[(i,)] = c.scale(Fraction(sign, 1) / mu.coefficient)
+            out[(i,)] = c.scale(Fraction(sign, mu.coefficient))
         phi = MultiVector(n, 1, out)
         for i in range(n):
             x_i = self.coordinates[i]

@@ -3,9 +3,18 @@
 ``Poly`` is the scalar substrate for everything else in the package: forms,
 multivector fields and bracket matrices all carry ``Poly`` coefficients.
 A polynomial is stored canonically as a sparse map from exponent vectors
-(tuples of nonnegative ints, one entry per variable) to nonzero
-``fractions.Fraction`` coefficients, so equality is a plain map comparison
-and the zero polynomial is the empty map.
+(tuples of nonnegative ints, one entry per variable) to nonzero exact
+rational coefficients, so equality is a plain map comparison and the zero
+polynomial is the empty map.
+
+A coefficient is a Python ``int`` when it is integral and a
+``fractions.Fraction`` otherwise. Nearly every input is integral, and int
+arithmetic is much cheaper than ``Fraction`` arithmetic, so values
+are normalised where they enter (the constructors and ``scale``), and
+results of arithmetic are left as they come: an int stays an int, and a
+``Fraction`` with denominator 1 may appear. Such a value is ``==`` and
+hash-equal to its int and prints the same, so equality, hashing and text
+do not depend on which form a coefficient has.
 
 Variable indices are 0-based throughout the library; only rendered text and
 problem files use 1-based conventions.
@@ -48,16 +57,23 @@ MAX_MODULE_RANK = 32
 MAX_VARIABLES = 16
 
 
-def _as_fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
+def _int_or_fraction(value):
+    """``value`` as a coefficient: an ``int`` when it is integral, else a ``Fraction``."""
+    if type(value) is int:
         return value
-    if isinstance(value, int):
-        return Fraction(value)
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else value
+    if isinstance(value, int):  # bool and other int subclasses
+        return int(value)
     raise TypeError(f"coefficient must be an int or Fraction, got {type(value)!r}")
 
 
 class Poly:
-    """A multivariate polynomial with exact rational coefficients."""
+    """A multivariate polynomial with exact rational coefficients.
+
+    ``terms`` maps exponent tuples to nonzero coefficients, each an ``int``
+    or a ``Fraction``; see the module docstring for when each appears.
+    """
 
     __slots__ = ("nvars", "terms")
 
@@ -74,7 +90,7 @@ class Poly:
                 )
             if any(e < 0 or not isinstance(e, int) for e in exps):
                 raise ValueError(f"exponents must be nonnegative integers: {exps}")
-            coeff = _as_fraction(coeff) + canon.get(exps, 0)
+            coeff = _int_or_fraction(coeff) + canon.get(exps, 0)
             if coeff:
                 canon[exps] = coeff
             else:
@@ -102,7 +118,7 @@ class Poly:
 
     @classmethod
     def constant(cls, nvars: int, value) -> "Poly":
-        return cls(nvars, {(0,) * nvars: _as_fraction(value)})
+        return cls(nvars, {(0,) * nvars: value})
 
     @classmethod
     def variable(cls, nvars: int, index: int) -> "Poly":
@@ -110,11 +126,11 @@ class Poly:
             raise DimensionError(f"variable index {index} out of range for {nvars} variables")
         exps = [0] * nvars
         exps[index] = 1
-        return cls(nvars, {tuple(exps): Fraction(1)})
+        return cls(nvars, {tuple(exps): 1})
 
     @classmethod
     def monomial(cls, nvars: int, exps: Sequence[int], coeff=1) -> "Poly":
-        return cls(nvars, {tuple(exps): _as_fraction(coeff)})
+        return cls(nvars, {tuple(exps): coeff})
 
     # ------------------------------------------------------------------
     # ring structure
@@ -180,7 +196,7 @@ class Poly:
         return result
 
     def scale(self, value) -> "Poly":
-        value = _as_fraction(value)
+        value = _int_or_fraction(value)
         if not value:
             return Poly._raw(self.nvars, {})
         return Poly._raw(self.nvars, {e: c * value for e, c in self.terms.items()})
@@ -225,8 +241,8 @@ class Poly:
     def __bool__(self) -> bool:
         return bool(self.terms)
 
-    def coefficient(self, exps: Sequence[int]) -> Fraction:
-        return self.terms.get(tuple(exps), Fraction(0))
+    def coefficient(self, exps: Sequence[int]) -> int | Fraction:
+        return self.terms.get(tuple(exps), 0)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Poly):

@@ -8,7 +8,17 @@ from time import perf_counter
 import pytest
 
 from poishom import Poly, lie_derivative
-from poishom.cli import EXIT_INPUT, EXIT_MATH, EXIT_MODE, EXIT_OK, load, main
+from poishom.cli import (
+    _CHECK_ERRORS,
+    EXIT_INPUT,
+    EXIT_MATH,
+    EXIT_MODE,
+    EXIT_OK,
+    _Run,
+    _verify_inputs,
+    load,
+    main,
+)
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
@@ -221,6 +231,25 @@ def test_every_shipped_problem_file_loads():
     assert paths
     for path in paths:
         load(str(path))
+
+
+@pytest.mark.parametrize("path", sorted(PROBLEMS.glob("*.json"))
+                         + sorted((PROBLEMS.parent / "bench" / "inputs").glob("*.json")),
+                         ids=lambda path: path.name)
+def test_integral_input_coefficients_are_stored_as_ints(path):
+    # the arithmetic stays on Python ints only if the inputs start there
+    problem = load(str(path))
+    run = _Run(None, problem)
+    try:
+        _verify_inputs(run)  # applies the modular twist of quadratic.json
+    except _CHECK_ERRORS:
+        assert run.module is None  # the Jacobi gate refuses nonjacobi.json
+    module = problem.module if run.module is None else run.module
+    polys = list(problem.bivector.terms.values())
+    polys += [p for matrix in module.brackets for row in matrix for p in row]
+    coefficients = [c for p in polys for c in p.terms.values()]
+    coefficients.append(problem.volume.coefficient)
+    assert all(type(c) is int for c in coefficients if c.denominator == 1)
 
 
 # ----------------------------------------------------------------------

@@ -457,6 +457,14 @@ def test_chain_basis_image_keeps_the_gates():
         basis_image(quadratic2(), W, "chain", 2, entry)
 
 
+def test_basis_image_refuses_an_unknown_kind():
+    P, W = so3(), PoissonModule.trivial(3, 1)
+    entry = slice_basis(W, "cochain", 2, 0)[0]
+    for kind in ("cochains", "homology", ""):
+        with pytest.raises(ValueError, match=f"unknown kind {kind!r}"):
+            basis_image(P, W, kind, 2, entry)
+
+
 @pytest.mark.parametrize("make", [
     lambda: (so3(), PoissonModule.trivial(3, 1)),
     lambda: (quadratic2(), quadratic_rank2(quadratic2())),

@@ -63,6 +63,17 @@ def test_rank_with_rational_entries():
     assert matrix_rank([[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), 1]]) == 1
 
 
+@pytest.mark.parametrize("entry", [0.5, 0.0, "1", None, complex(1)])
+def test_rank_refuses_inexact_entries(entry):
+    with pytest.raises(TypeError, match="coefficient must be an int or Fraction"):
+        matrix_rank([[1, 0], [Fraction(1, 2), entry]])
+
+
+def test_rank_reads_booleans_and_integral_fractions_as_ints():
+    assert matrix_rank([[True, True], [Fraction(2, 1), 2]]) == 1
+    assert matrix_rank([[True, 0], [0, Fraction(4, 2)]]) == 2
+
+
 def test_rank_transpose_invariance_and_oracle():
     rng = random.Random(23)
     for _ in range(60):

@@ -193,3 +193,36 @@ def test_no_zero_coefficients_stored():
     q = p2("x") + p2("-x") + p2("y")
     assert all(c != 0 for c in q.terms.values())
     assert (0, 0) not in q.terms
+
+
+def test_integral_fractions_and_ints_are_one_representation():
+    # arithmetic keeps a Fraction with denominator 1 as it is; such a
+    # polynomial must be indistinguishable from its all-int twin
+    rng = random.Random(12)
+    for _ in range(60):
+        f, g = rand_poly(rng, 3), rand_poly(rng, 3)
+        ff, gf = (Poly._raw(3, {e: Fraction(c, 1) for e, c in p.terms.items()}) for p in (f, g))
+        assert all(type(c) is int for p in (f, g) for c in p.terms.values())
+        assert all(type(c) is Fraction for p in (ff, gf) for c in p.terms.values())
+        assert Poly(3, ff.terms).terms == f.terms  # the constructor normalises
+        assert all(type(c) is int for c in Poly(3, ff.terms).terms.values())
+        pairs = [(f, ff), (g, gf), (f + g, ff + gf), (f + g, f + gf), (f * g, ff * gf),
+                 (f * g, f * gf), (f.scale(-3), ff.scale(Fraction(-3, 1))),
+                 (f.scale(2), ff.scale(2)), (f.partial(1), ff.partial(1))]
+        for a, b in pairs:
+            assert a == b and hash(a) == hash(b) and a.text() == b.text()
+
+
+def test_non_integral_coefficients_stay_exact_fractions():
+    half = Poly.constant(2, Fraction(1, 2))
+    assert type(half.coefficient((0, 0))) is Fraction and half.coefficient((0, 0)) == Fraction(1, 2)
+    assert (half * p2("x")).coefficient((1, 0)) == Fraction(1, 2)
+    assert (half * half).coefficient((0, 0)) == Fraction(1, 4)
+    assert half.scale(2) == Poly.constant(2, 1)
+    assert p2("1/2*x").partial(0) == half
+    assert Poly.constant(2, Fraction(4, 2)).terms == {(0, 0): 2}
+    assert type(Poly.constant(2, True).coefficient((0, 0))) is int
+    assert type(Poly.variable(2, 0).coefficient((1, 0))) is int
+    assert type(p2("x").coefficient((0, 1))) is int
+    with pytest.raises(TypeError, match="coefficient must be an int or Fraction"):
+        Poly.constant(2, 0.5)
