@@ -216,14 +216,20 @@ def graded_weight_shift(structure: PoissonStructure, module: PoissonModule) -> i
     degree m alone fixes the shift m-1, and with no data at all the shift
     is 0 (both differentials vanish identically).
     """
-    try:
-        pi_degree = structure.homogeneous_degree()
-    except ValueError as exc:
-        raise GradedModeError(str(exc)) from exc
-    try:
-        bracket_degree = module.homogeneous_bracket_degree()
-    except ValueError as exc:
-        raise GradedModeError(str(exc)) from exc
+    degrees = []
+    for polys, mixed in (
+        (structure.bivector.terms.values(), "bivector coefficients have mixed degrees"),
+        ((entry for m in module.brackets for row in m for entry in row),
+         "bracket entries have mixed homogeneous degrees"),
+    ):
+        try:
+            found = {poly.homogeneous_degree() for poly in polys if poly}
+        except ValueError as exc:  # a polynomial that is not homogeneous
+            raise GradedModeError(str(exc)) from exc
+        if len(found) > 1:
+            raise GradedModeError(mixed)
+        degrees.append(found.pop() if found else None)
+    pi_degree, bracket_degree = degrees
     if pi_degree is None and bracket_degree is None:
         return 0
     if pi_degree is None:

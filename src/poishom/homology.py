@@ -201,27 +201,32 @@ def spec_digest(bivector: MultiVector, module: PoissonModule, mu: VolumeForm,
     return hashlib.sha256("|".join(pieces).encode()).hexdigest()[:16]
 
 
+def _slices(kind: str, n: int, max_weight: int) -> list:
+    """The (degree, weight) pairs of the nonempty slices up to ``max_weight``,
+    by degree, then weight: cochain slices in degree k start at weight -k,
+    chain slices at weight +k."""
+    return [(k, w) for k in range(n + 1)
+            for w in range(-k if kind == "cochain" else k, max_weight + 1)]
+
+
 def betti_table(structure: PoissonStructure, module: PoissonModule,
                 kind: str, max_weight: int) -> BettiTable:
     """Betti numbers for all degrees 0..n and weights up to ``max_weight``.
 
-    Cohomology slices in degree k start at weight -k, homology slices at
-    weight +k, so no slice in range is empty. The metadata records the weight
-    cap, so absence of (co)homology is only ever claimed within it.
+    Only the nonempty slices are listed (see ``_slices``). The metadata
+    records the weight cap, so absence of (co)homology is only ever claimed
+    within it.
     """
     if kind not in ("homology", "cohomology"):
         raise ValueError(f"unknown kind {kind!r}")
     slice_kind = "cochain" if kind == "cohomology" else "chain"
     n = structure.nvars
     shift = graded_weight_shift(structure, module)
-    entries = {}
     cache: dict = {}
-    for degree in range(n + 1):
-        low = -degree if kind == "cohomology" else degree
-        for weight in range(low, max_weight + 1):
-            entries[(degree, weight)] = betti(
-                structure, module, slice_kind, degree, weight, _cache=cache
-            )
+    entries = {
+        (degree, weight): betti(structure, module, slice_kind, degree, weight, _cache=cache)
+        for degree, weight in _slices(slice_kind, n, max_weight)
+    }
     metadata = {
         "structure": structure_digest(structure.bivector, module),
         "weight_shift": shift,
@@ -370,7 +375,7 @@ def verify_duality(structure: PoissonStructure, module: PoissonModule,
     except GradedModeError as exc:
         shift, note = None, f"Betti comparison skipped: {exc}"
 
-    slices = [(k, w) for k in range(n + 1) for w in range(-k, max_weight + 1)]
+    slices = _slices("cochain", n, max_weight)
     cache: dict = {}
     checked = 0
     failures = []

@@ -89,25 +89,6 @@ class PoissonModule:
 
     # ------------------------------------------------------------------
 
-    def homogeneous_bracket_degree(self):
-        """Common homogeneous degree of all nonzero bracket entries.
-
-        Returns None when every matrix is zero; raises ValueError on mixed
-        or non-homogeneous entries (graded mode unavailable).
-        """
-        degrees = set()
-        for m in self.brackets:
-            for row in m:
-                for entry in row:
-                    d = entry.homogeneous_degree()
-                    if d is not None:
-                        degrees.add(d)
-        if not degrees:
-            return None
-        if len(degrees) > 1:
-            raise ValueError("bracket entries have mixed homogeneous degrees")
-        return degrees.pop()
-
     def __eq__(self, other):
         # equality is on the bracket data; the checked structure is bookkeeping
         if not isinstance(other, PoissonModule):

@@ -185,21 +185,6 @@ class PoissonStructure:
 
     # ------------------------------------------------------------------
 
-    def homogeneous_degree(self):
-        """Common coefficient degree of the bivector (None when pi = 0).
-
-        Raises ValueError when the coefficients are not all homogeneous of
-        one degree; graded mode is then unavailable.
-        """
-        degrees = set()
-        for poly in self.bivector.terms.values():
-            degrees.add(poly.homogeneous_degree())
-        if not degrees:
-            return None
-        if len(degrees) > 1:
-            raise ValueError("bivector coefficients have mixed degrees")
-        return degrees.pop()
-
     def __eq__(self, other):
         if not isinstance(other, PoissonStructure):
             return NotImplemented

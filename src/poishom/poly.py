@@ -48,14 +48,6 @@ MAX_PARSE_NESTING = 100
 # shorter run under every interpreter setting.
 MAX_PARSE_DIGITS = 640
 
-# Largest module rank a problem file may declare. Loading allocates rank^2
-# bracket entries per variable before reading any, and slices grow with the
-# rank: so(3) duality to weight 2 at rank 32 took 33 s on a 2-core machine.
-# The shipped inputs and tests use rank 2 at most.
-MAX_MODULE_RANK = 32
-# Largest number of variables a problem file may declare (the shipped ones use 4 at most).
-MAX_VARIABLES = 16
-
 
 def _int_or_fraction(value):
     """``value`` as a coefficient: an ``int`` when it is integral, else a ``Fraction``."""

@@ -7,6 +7,7 @@ share one duality run per catalog entry through a module-scoped fixture.
 
 import json
 import math
+import os
 import random
 import subprocess
 import sys
@@ -320,9 +321,13 @@ def test_c9_cli_determinism():
         str(PROBLEMS / "quadratic.json"),
         "--max-weight", "6", "--trials", "100", "--seed", "7", "--format", "json",
     ]
+    # the child finds the package however the suite was started
+    src = str(PROBLEMS.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     runs = []
     for _ in range(2):
-        result = subprocess.run(args, capture_output=True, text=True)
+        result = subprocess.run(args, capture_output=True, text=True, env=env)
         assert result.returncode == 0, result.stderr
         runs.append(json.loads(result.stdout))
     for payload in runs:

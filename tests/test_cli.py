@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 from time import perf_counter
 
@@ -71,6 +72,10 @@ def test_load_rejects_decreasing_indices(tmp_path):
         ({"variables": ["x", "y"], "poisson": {"1,3": "1"}, "volume": "1"}, "poisson.1,3"),
         ({"variables": ["x", "y"], "poisson": {"1,2": "x+"}, "volume": "1"}, "poisson.1,2"),
         ({"variables": ["x", "y"], "poisson": {}, "volume": "0"}, "volume"),
+        # the volume is read with the polynomial grammar: no decimals or exponents
+        ({"variables": ["x", "y"], "poisson": {}, "volume": "1.5"}, "volume"),
+        ({"variables": ["x", "y"], "poisson": {}, "volume": "1e3"}, "volume"),
+        ({"variables": ["x", "y"], "poisson": {}, "volume": "x"}, "volume"),
         ({"variables": ["x", "y"], "poisson": {}, "volume": "1", "extra": 1}, "extra"),
         (
             {"variables": ["x", "y"], "poisson": {}, "volume": "1",
@@ -91,6 +96,12 @@ def test_load_schema_violations(tmp_path, payload, field):
     with pytest.raises(SchemaError) as err:
         load(path)
     assert field in str(err.value)
+
+
+@pytest.mark.parametrize("text,value", [("3/2", Fraction(3, 2)), ("-2", -2)])
+def test_load_constant_volume(tmp_path, text, value):
+    path = write(tmp_path, "volume.json", {"variables": ["x", "y"], "poisson": {}, "volume": text})
+    assert load(path).volume.coefficient == value
 
 
 def test_missing_file_exits_3(capsys):
@@ -122,12 +133,12 @@ def test_repeated_json_key_exits_3(tmp_path, capsys):
     assert "1,2: duplicate key" in capsys.readouterr().err
 
 
-def _exits_3_within_a_second(argv, capsys):
+def _exits_3_within_a_second(argv, capsys, message="exceeds the limit"):
     start = perf_counter()
     code = main(argv)
     assert perf_counter() - start < 1.0
     assert code == EXIT_INPUT
-    assert "exceeds the limit" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 def test_oversized_power_exits_3_before_expanding(tmp_path, capsys):
@@ -181,6 +192,19 @@ def test_long_number_exits_3(tmp_path, capsys, entry):
         {"variables": ["x", "y"], "poisson": {"1,2": entry}, "volume": "1"},
     )
     _exits_3_within_a_second(["check", path], capsys)
+
+
+@pytest.mark.parametrize("volume,message", [
+    ("1e5000", "volume: unexpected trailing input 'e'"),
+    ("9" * 5000, "volume: digit count 5000 exceeds the limit"),
+], ids=["exponent", "5000-digits"])
+def test_volume_outside_the_grammar_exits_3(tmp_path, capsys, volume, message):
+    # "1e5000" used to load and end in a ValueError traceback from the digest
+    path = write(
+        tmp_path, "volume.json",
+        {"variables": ["x", "y"], "poisson": {"1,2": "1"}, "volume": volume},
+    )
+    _exits_3_within_a_second(["check", path], capsys, message)
 
 
 def test_oversized_module_rank_exits_3_before_allocating(tmp_path, capsys):

@@ -37,12 +37,14 @@ from poishom.cli import load
 from poishom.complexes import element_from_basis
 
 from catalog import (
+    bivector,
     chain_catalog,
     cochain_differential_oracle,
     decomposable,
     generic2,
     graded_catalog,
     p2,
+    p3,
     quadratic2,
     quadratic_rank2,
     rand_chain_element,
@@ -316,22 +318,55 @@ def test_duality_square_on_random_elements():
 # graded slices
 
 
+def _line_over_zero(b_x, b_y):
+    """Rank-1 module on R^2 with {e, x} = b_x e and {e, y} = b_y e; any such
+    line is flat for the zero structure."""
+    return PoissonModule(2, 1, (((p2(b_x),),), ((p2(b_y),),)), structure=zero2())
+
+
 def test_graded_shift_values():
     assert graded_weight_shift(symplectic2(), PoissonModule.trivial(2, 1)) == -2
     assert graded_weight_shift(quadratic2(), quadratic_rank2(quadratic2())) == 0
     assert graded_weight_shift(so3(), PoissonModule.trivial(3, 2)) == -1
     assert graded_weight_shift(zero2(), PoissonModule.trivial(2, 1)) == 0
+    # a zero bivector leaves the shift to the bracket degree m: m - 1
+    assert graded_weight_shift(zero2(), _line_over_zero("x^2", "0")) == 1
+
+
+# The messages below reach DualityReport.graded_note and the CLI's exit-2 text.
+def _refusal(structure, module):
+    with pytest.raises(GradedModeError) as err:
+        graded_weight_shift(structure, module)
+    return str(err.value)
 
 
 def test_graded_mode_rejects_nonhomogeneous_bivector():
-    with pytest.raises(GradedModeError):
-        graded_weight_shift(generic2(), PoissonModule.trivial(2, 1))
+    message = "polynomial x1^2*x2 + 1 is not homogeneous"
+    assert _refusal(generic2(), PoissonModule.trivial(2, 1)) == message
+    # the bivector is checked before the brackets
+    assert _refusal(generic2(), _line_over_zero("1 + x", "0")) == message
 
 
 def test_graded_mode_rejects_mismatched_bracket_degree():
     P = so3()
-    with pytest.raises(GradedModeError):
-        graded_weight_shift(P, so3_rank2(P))  # degree-1 entries, expected 0
+    assert _refusal(P, so3_rank2(P)) == (  # degree-1 entries, expected 0
+        "bracket entries have degree 1, expected 0 for a bivector of degree 1"
+    )
+
+
+@pytest.mark.parametrize(
+    "structure,module,message",
+    [
+        # Jacobian structure of f = x^2 + z: {x,y} = 1, {y,z} = 2x
+        (PoissonStructure(bivector(3, {(0, 1): p3("1"), (1, 2): p3("2*x")})),
+         PoissonModule.trivial(3, 1), "bivector coefficients have mixed degrees"),
+        (zero2(), _line_over_zero("1 + x", "0"), "polynomial x1 + 1 is not homogeneous"),
+        (zero2(), _line_over_zero("x", "y^2"), "bracket entries have mixed homogeneous degrees"),
+    ],
+    ids=["mixed-bivector", "nonhomogeneous-bracket", "mixed-brackets"],
+)
+def test_graded_mode_rejects_mixed_or_nonhomogeneous_data(structure, module, message):
+    assert _refusal(structure, module) == message
 
 
 def test_slice_basis_dimensions():
