@@ -72,10 +72,6 @@ def test_load_rejects_decreasing_indices(tmp_path):
         ({"variables": ["x", "y"], "poisson": {"1,3": "1"}, "volume": "1"}, "poisson.1,3"),
         ({"variables": ["x", "y"], "poisson": {"1,2": "x+"}, "volume": "1"}, "poisson.1,2"),
         ({"variables": ["x", "y"], "poisson": {}, "volume": "0"}, "volume"),
-        # the volume is read with the polynomial grammar: no decimals or exponents
-        ({"variables": ["x", "y"], "poisson": {}, "volume": "1.5"}, "volume"),
-        ({"variables": ["x", "y"], "poisson": {}, "volume": "1e3"}, "volume"),
-        ({"variables": ["x", "y"], "poisson": {}, "volume": "x"}, "volume"),
         ({"variables": ["x", "y"], "poisson": {}, "volume": "1", "extra": 1}, "extra"),
         (
             {"variables": ["x", "y"], "poisson": {}, "volume": "1",
@@ -87,6 +83,10 @@ def test_load_rejects_decreasing_indices(tmp_path):
              "twist": {"components": ["x"]}},
             "twist.components",
         ),
+        # the volume is read with the polynomial grammar: no decimals or exponents
+        ({"variables": ["x", "y"], "poisson": {}, "volume": "1.5"}, "volume"),
+        ({"variables": ["x", "y"], "poisson": {}, "volume": "1e3"}, "volume"),
+        ({"variables": ["x", "y"], "poisson": {}, "volume": "x"}, "volume"),
     ],
 )
 def test_load_schema_violations(tmp_path, payload, field):
