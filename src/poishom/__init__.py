@@ -33,6 +33,7 @@ from .complexes import (
     star_inverse,
 )
 from .errors import (
+    CheckError,
     DimensionError,
     FlatnessError,
     GradedModeError,
@@ -63,6 +64,7 @@ from .poly import Poly, monomials_of_degree
 __all__ = [
     "BasisElement",
     "BettiTable",
+    "CheckError",
     "ComplexSlice",
     "DimensionError",
     "DualityReport",

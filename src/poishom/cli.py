@@ -24,9 +24,9 @@ Poisson property of the twisting field (``twist``).
 Exit codes: 0 success; 1 mathematical check failed, always with the report
 on standard output and a witness in it (Jacobi, flatness, Poisson vector
 field, modular-field cross-check or duality); 2 graded-mode/precondition
-violation; 3 input error. A reader that closes standard output early
-(``poishom ... | head``) does not change the exit code and causes no
-traceback.
+violation; 3 input error, a malformed command line included. A reader that
+closes standard output early (``poishom ... | head``) does not change the
+exit code and causes no traceback.
 """
 
 from __future__ import annotations
@@ -39,14 +39,13 @@ import sys
 
 from .calculus import MultiVector
 from .errors import (
+    CheckError,
+    FlatnessError,
     GradedModeError,
     JacobiError,
-    ModularFieldError,
     ParseError,
     PoishomError,
-    PoissonFieldError,
     SchemaError,
-    FlatnessError,
 )
 from .homology import betti_table, spec_digest, verify_duality
 from .pmodule import PoissonModule, twist
@@ -126,6 +125,9 @@ def load(path: str) -> ProblemSpec:
     _require(len(set(variables)) == len(variables), "variables", "duplicate names")
     n = len(variables)
     _require(n <= MAX_VARIABLES, "variables", f"count {n} exceeds the limit {MAX_VARIABLES}")
+    for i, name in enumerate(variables):  # each name must read back as its coordinate
+        _require(_parse_poly(name, variables, "variables") == Poly.variable(n, i),
+                 "variables", f"{name!r} does not parse as a variable name")
 
     poisson = data.get("poisson")
     _require(isinstance(poisson, dict), "poisson", "expected an object")
@@ -203,58 +205,6 @@ def load(path: str) -> ProblemSpec:
 # ----------------------------------------------------------------------
 
 
-def _poly_list(polys, names):
-    return [p.text(names) for p in polys]
-
-
-def _jacobi_witness_payload(witness, names):
-    i, j, k, poly = witness
-    return {
-        "check": "jacobi",
-        "triple": [names[i], names[j], names[k]],
-        "jacobiator": poly.text(names),
-    }
-
-
-def _flatness_witness_payload(witness, names):
-    a, i, j, disc = witness
-    return {
-        "check": "flatness",
-        "section": a + 1,
-        "pair": [names[i], names[j]],
-        "discrepancy": _poly_list(disc, names),
-    }
-
-
-def _modular_witness_payload(witness, names):
-    i, lhs, rhs = witness
-    top = tuple(range(len(names)))  # both sides are top forms
-    return {
-        "check": "modular_field",
-        "coordinate": names[i],
-        "lie_derivative": lhs.coefficient(top).text(names),
-        "expected": rhs.coefficient(top).text(names),
-    }
-
-
-def _poisson_field_witness_payload(witness, names):
-    i, j, poly = witness
-    return {
-        "check": "poisson_vector_field",
-        "pair": [names[i], names[j]],
-        "defect": poly.text(names),
-    }
-
-
-_WITNESS_PAYLOADS = {
-    JacobiError: _jacobi_witness_payload,
-    FlatnessError: _flatness_witness_payload,
-    PoissonFieldError: _poisson_field_witness_payload,
-    ModularFieldError: _modular_witness_payload,
-}
-_CHECK_ERRORS = tuple(_WITNESS_PAYLOADS)
-
-
 class _Run:
     """Collects results and witnesses for one CLI invocation."""
 
@@ -314,7 +264,7 @@ def _cmd_check(run: _Run, args):
     results = run.results
     try:
         _, module = _verify_inputs(run)
-    except _CHECK_ERRORS as exc:
+    except CheckError as exc:
         results["jacobi"] = not isinstance(exc, JacobiError)
         if results["jacobi"]:
             results["flat"] = not isinstance(exc, FlatnessError)
@@ -326,8 +276,8 @@ def _cmd_check(run: _Run, args):
 def _cmd_modular(run: _Run, args):
     structure, _ = _verify_inputs(run, need_twist=False)
     phi = structure.modular_vector_field(run.problem.volume)
-    components = [phi.evaluate(x_i) for x_i in structure.coordinates]
-    run.results["modular_field"] = _poly_list(components, run.names)
+    run.results["modular_field"] = [phi.evaluate(x_i).text(run.names)
+                                    for x_i in structure.coordinates]
     run.results["is_poisson_vector_field"] = structure.poisson_field_defect(phi) is None
 
 
@@ -437,7 +387,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
+        return EXIT_INPUT if exc.code else EXIT_OK
     try:
         problem = load(args.problem)
     except (SchemaError, OSError) as exc:
@@ -456,8 +409,8 @@ def main(argv=None) -> int:
             _cmd_betti(run, args, "homology")
         elif args.command == "duality":
             _cmd_duality(run, args)
-    except _CHECK_ERRORS as exc:
-        run.fail(_WITNESS_PAYLOADS[type(exc)](exc.witness, run.names))
+    except CheckError as exc:
+        run.fail(exc.payload(run.names))
     except GradedModeError as exc:
         print(f"graded-mode violation: {exc}", file=sys.stderr)
         return EXIT_MODE

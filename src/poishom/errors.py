@@ -6,6 +6,8 @@ Every mathematical failure carries a machine-readable witness so callers
 
 from __future__ import annotations
 
+import json
+
 
 class PoishomError(Exception):
     """Base class for all errors raised by this package."""
@@ -31,7 +33,27 @@ class DimensionError(PoishomError):
     """Mismatched variable counts, ranks, degrees or arities."""
 
 
-class JacobiError(PoishomError):
+def _names(names, nvars):
+    return [f"x{i + 1}" for i in range(nvars)] if names is None else names
+
+
+class CheckError(PoishomError):
+    """A constructor gate failed; ``witness`` is the tuple that shows it.
+
+    ``payload(names)`` renders the witness with coordinate names (x1..xn
+    when ``names`` is None; sections count from 1). The message is
+    ``payload()`` as sorted JSON, the form the CLI prints after ``witness:``.
+    """
+
+    def __init__(self, witness):
+        self.witness = witness
+        super().__init__(json.dumps(self.payload(), sort_keys=True))
+
+    def payload(self, names=None) -> dict:
+        raise NotImplementedError
+
+
+class JacobiError(CheckError):
     """A bivector failed the Jacobi identity.
 
     ``witness`` is a tuple ``(i, j, k, value)`` of 0-based coordinate
@@ -39,61 +61,55 @@ class JacobiError(PoishomError):
     + {{x_k,x_i},x_j}.
     """
 
-    def __init__(self, witness):
-        i, j, k, poly = witness
-        super().__init__(
-            f"Jacobi identity fails on coordinates ({i}, {j}, {k}): "
-            f"jacobiator = {poly}"
-        )
-        self.witness = witness
+    def payload(self, names=None) -> dict:
+        i, j, k, poly = self.witness
+        names = _names(names, poly.nvars)
+        return {"check": "jacobi", "triple": [names[i], names[j], names[k]],
+                "jacobiator": poly.text(names)}
 
 
-class FlatnessError(PoishomError):
+class FlatnessError(CheckError):
     """A module bracket failed the right-Lie-module (flatness) condition.
 
     ``witness`` is ``(section, i, j, discrepancy)`` where ``discrepancy``
     is the nonzero vector {e_a,{x_i,x_j}} - {{e_a,x_i},x_j} + {{e_a,x_j},x_i}.
     """
 
-    def __init__(self, witness):
-        a, i, j, disc = witness
-        super().__init__(
-            f"flatness fails on section {a}, coordinates ({i}, {j}): "
-            f"discrepancy = [{', '.join(str(p) for p in disc)}]"
-        )
-        self.witness = witness
+    def payload(self, names=None) -> dict:
+        a, i, j, disc = self.witness
+        names = _names(names, disc[0].nvars)
+        return {"check": "flatness", "section": a + 1, "pair": [names[i], names[j]],
+                "discrepancy": [p.text(names) for p in disc]}
 
 
-class PoissonFieldError(PoishomError):
+class PoissonFieldError(CheckError):
     """A vector field is not a Poisson vector field.
 
     ``witness`` is ``(i, j, defect)`` with the nonzero defect polynomial
     phi({x_i,x_j}) - {phi(x_i),x_j} - {x_i,phi(x_j)}.
     """
 
-    def __init__(self, witness):
-        i, j, poly = witness
-        super().__init__(
-            f"not a Poisson vector field: defect on coordinates ({i}, {j}) "
-            f"is {poly}"
-        )
-        self.witness = witness
+    def payload(self, names=None) -> dict:
+        i, j, poly = self.witness
+        names = _names(names, poly.nvars)
+        return {"check": "poisson_vector_field", "pair": [names[i], names[j]],
+                "defect": poly.text(names)}
 
 
-class ModularFieldError(PoishomError):
+class ModularFieldError(CheckError):
     """The modular vector field failed its Lie-derivative cross-check.
 
     ``witness`` is ``(i, lie_derivative, expected)``: the 0-based coordinate
     and the two top forms L_{X_{x_i}} mu and phi(x_i) mu, which differ.
     """
 
-    def __init__(self, witness):
-        i, lhs, rhs = witness
-        super().__init__(
-            f"modular field cross-check failed on coordinate {i + 1}: "
-            f"Lie derivative gives {lhs}, expected {rhs}"
-        )
-        self.witness = witness
+    def payload(self, names=None) -> dict:
+        i, lhs, rhs = self.witness
+        names = _names(names, lhs.nvars)
+        top = tuple(range(len(names)))  # both sides are top forms
+        return {"check": "modular_field", "coordinate": names[i],
+                "lie_derivative": lhs.coefficient(top).text(names),
+                "expected": rhs.coefficient(top).text(names)}
 
 
 class GradedModeError(PoishomError):

@@ -367,16 +367,14 @@ class _Parser:
         return result
 
     def _expr(self) -> Poly:
-        sign = 1
+        negate = self._peek() == "-"
         if self._peek() in ("+", "-"):
-            if self._peek() == "-":
-                sign = -1
             self.pos += 1
-        acc = self._term().scale(sign)
+        acc = -self._term() if negate else self._term()
         while self._peek() in ("+", "-"):
-            sign = 1 if self._peek() == "+" else -1
+            negate = self._peek() == "-"
             self.pos += 1
-            acc = acc + self._term().scale(sign)
+            acc = acc + (-self._term() if negate else self._term())
         return acc
 
     def _term(self) -> Poly:

@@ -8,9 +8,16 @@ from time import perf_counter
 
 import pytest
 
-from poishom import Poly, lie_derivative
+from poishom import (
+    CheckError,
+    FlatnessError,
+    JacobiError,
+    ModularFieldError,
+    PoissonFieldError,
+    Poly,
+    lie_derivative,
+)
 from poishom.cli import (
-    _CHECK_ERRORS,
     EXIT_INPUT,
     EXIT_MATH,
     EXIT_MODE,
@@ -87,6 +94,10 @@ def test_load_rejects_decreasing_indices(tmp_path):
         ({"variables": ["x", "y"], "poisson": {}, "volume": "1.5"}, "volume"),
         ({"variables": ["x", "y"], "poisson": {}, "volume": "1e3"}, "volume"),
         ({"variables": ["x", "y"], "poisson": {}, "volume": "x"}, "volume"),
+        # every name must read back as its own coordinate
+        ({"variables": ["x", "2"], "poisson": {"1,2": "2"}, "volume": "1"}, "variables"),
+        ({"variables": ["a b", "y"], "poisson": {}, "volume": "1"}, "variables"),
+        ({"variables": ["x", "y", "x*y"], "poisson": {}, "volume": "1"}, "variables"),
     ],
 )
 def test_load_schema_violations(tmp_path, payload, field):
@@ -102,6 +113,16 @@ def test_load_schema_violations(tmp_path, payload, field):
 def test_load_constant_volume(tmp_path, text, value):
     path = write(tmp_path, "volume.json", {"variables": ["x", "y"], "poisson": {}, "volume": text})
     assert load(path).volume.coefficient == value
+
+
+def test_usage_errors_exit_3(capsys):
+    so3 = str(PROBLEMS / "so3.json")
+    for argv in (["duality", so3, "--trials", "abc"], ["check", so3, "--bogus"], ["check"]):
+        assert main(argv) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("usage: poishom") and "error:" in err
+    assert main(["--help"]) == EXIT_OK
+    assert capsys.readouterr().out.startswith("usage: poishom")
 
 
 def test_missing_file_exits_3(capsys):
@@ -266,7 +287,7 @@ def test_integral_input_coefficients_are_stored_as_ints(path):
     run = _Run(None, problem)
     try:
         _verify_inputs(run)  # applies the modular twist of quadratic.json
-    except _CHECK_ERRORS:
+    except CheckError:
         assert run.module is None  # the Jacobi gate refuses nonjacobi.json
     module = problem.module if run.module is None else run.module
     polys = list(problem.bivector.terms.values())
@@ -296,16 +317,14 @@ def test_check_nonjacobi_exits_1_with_witness(capsys):
     assert witness["jacobiator"] == "1"
 
 
+NONFLAT = {"variables": ["x", "y"], "poisson": {"1,2": "1"}, "volume": "1",
+           "module": {"rank": 1, "bracket": {"x": [["x"]]}}}
+BAD_TWIST = {"variables": ["x", "y"], "poisson": {"1,2": "1"}, "volume": "1",
+             "twist": {"components": ["x", "0"]}}
+
+
 def test_check_nonflat_module_exits_1(tmp_path, capsys):
-    path = write(
-        tmp_path, "nonflat.json",
-        {
-            "variables": ["x", "y"],
-            "poisson": {"1,2": "1"},
-            "volume": "1",
-            "module": {"rank": 1, "bracket": {"x": [["x"]]}},
-        },
-    )
+    path = write(tmp_path, "nonflat.json", NONFLAT)
     assert main(["check", path, "--format", "json"]) == EXIT_MATH
     report = json.loads(capsys.readouterr().out)
     assert report["results"] == {"jacobi": True, "flat": False, "ok": False}
@@ -314,19 +333,35 @@ def test_check_nonflat_module_exits_1(tmp_path, capsys):
 
 
 def test_invalid_twist_field_exits_1(tmp_path, capsys):
-    path = write(
-        tmp_path, "badtwist.json",
-        {
-            "variables": ["x", "y"],
-            "poisson": {"1,2": "1"},
-            "volume": "1",
-            "twist": {"components": ["x", "0"]},
-        },
-    )
+    path = write(tmp_path, "badtwist.json", BAD_TWIST)
     assert main(["check", path, "--format", "json"]) == EXIT_MATH
     report = json.loads(capsys.readouterr().out)
     assert report["results"] == {"jacobi": True, "flat": True, "ok": False}
     assert report["witnesses"][0]["check"] == "poisson_vector_field"
+
+
+@pytest.mark.parametrize("error,problem", [
+    (JacobiError, "nonjacobi.json"),
+    (FlatnessError, NONFLAT),
+    (PoissonFieldError, BAD_TWIST),
+    (ModularFieldError, "quadratic.json"),
+], ids=["jacobi", "flatness", "poisson_field", "modular_field"])
+def test_check_error_renders_the_cli_witness(tmp_path, monkeypatch, capsys, error, problem):
+    if error is ModularFieldError:
+        monkeypatch.setattr("poishom.poisson.lie_derivative", lambda field, omega: omega.scale(0))
+    if isinstance(problem, dict):
+        path = write(tmp_path, "bad.json", problem)
+    else:
+        path = str(PROBLEMS / problem)
+    spec = load(path)
+    with pytest.raises(error) as info:
+        _verify_inputs(_Run(None, spec))
+    exc = info.value
+    assert str(exc) == json.dumps(exc.payload(), sort_keys=True)
+    default = exc.payload([f"x{i + 1}" for i in range(len(spec.variables))])
+    assert exc.payload() == default != exc.payload(spec.variables)
+    assert main(["check", path, "--format", "json"]) == EXIT_MATH
+    assert json.loads(capsys.readouterr().out)["witnesses"] == [exc.payload(spec.variables)]
 
 
 def test_modular_symplectic_components(capsys):
