@@ -24,13 +24,10 @@ from .complexes import (
     basis_image,
     blacktriangle,
     blacktriangle_basis,
-    blacktriangle_inverse,
     chain_differential,
     cochain_differential,
     graded_weight_shift,
     slice_basis,
-    star,
-    star_inverse,
 )
 from .errors import (
     CheckError,
@@ -90,7 +87,6 @@ __all__ = [
     "betti_table",
     "blacktriangle",
     "blacktriangle_basis",
-    "blacktriangle_inverse",
     "chain_differential",
     "cochain_differential",
     "elw_connection",
@@ -101,8 +97,6 @@ __all__ = [
     "matrix_rank",
     "monomials_of_degree",
     "slice_basis",
-    "star",
-    "star_inverse",
     "twist",
     "verify_duality",
 ]

@@ -20,9 +20,9 @@ without special-casing by the caller.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from itertools import permutations
-from typing import Iterable, Mapping, Sequence
 
 from .errors import DimensionError
 from .poly import Poly

@@ -99,6 +99,18 @@ def _unique_keys(pairs):
     return data
 
 
+def _known_fields(data: dict, known: set, prefix: str = ""):
+    for key in data:
+        _require(key in known, prefix + key, "unknown field")
+
+
+def _count(text: str) -> int:
+    """argparse type of a count: a non-negative integer."""
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text}")
+    return int(text)
+
+
 def load(path: str) -> ProblemSpec:
     """Load and fully validate a problem file.
 
@@ -113,9 +125,7 @@ def load(path: str) -> ProblemSpec:
         except RecursionError as exc:  # the decoder recurses once per level
             raise SchemaError(path, "JSON nesting exceeds the limit of the decoder") from exc
     _require(isinstance(data, dict), "$", "top level must be an object")
-    known = {"variables", "poisson", "volume", "module", "twist"}
-    for key in data:
-        _require(key in known, key, "unknown field")
+    _known_fields(data, {"variables", "poisson", "volume", "module", "twist"})
 
     variables = data.get("variables")
     _require(isinstance(variables, list) and variables, "variables",
@@ -156,6 +166,7 @@ def load(path: str) -> ProblemSpec:
         module = PoissonModule.trivial(n, 1)
     else:
         _require(isinstance(module_data, dict), "module", "expected an object")
+        _known_fields(module_data, {"rank", "bracket"}, "module.")
         rank = module_data.get("rank")
         _require(type(rank) is int and rank >= 1, "module.rank",  # refuses true
                  "expected a positive integer")
@@ -189,6 +200,7 @@ def load(path: str) -> ProblemSpec:
     else:
         _require(isinstance(twist_data, dict), "twist",
                  'expected "modular" or {"components": [...]}')
+        _known_fields(twist_data, {"components"}, "twist.")
         comps = twist_data.get("components")
         _require(isinstance(comps, list) and len(comps) == n, "twist.components",
                  f"expected {n} polynomial strings")
@@ -381,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
             cmd.add_argument("--max-weight", type=int, default=6)
         if name == "duality":
             cmd.add_argument("--max-weight", type=int, default=6)
-            cmd.add_argument("--trials", type=int, default=25)
+            cmd.add_argument("--trials", type=_count, default=25)
             cmd.add_argument("--seed", type=int, default=0)
     return parser
 

@@ -38,7 +38,6 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from typing import NamedTuple
 
@@ -48,7 +47,6 @@ from .calculus import (
     ModuleCochainElement,
     MultiVector,
     _accumulate,
-    interior_product,
     subset_sign,
 )
 from .errors import DimensionError, GradedModeError
@@ -144,55 +142,29 @@ def cochain_differential(structure: PoissonStructure, module: PoissonModule,
 # duality maps
 
 
-def star(mu: VolumeForm, element: ModuleCochainElement) -> ModuleChainElement:
-    """Contraction against the volume form, X |-> iota_X(mu), componentwise."""
-    n = element.nvars
-    mu_form = mu.form(n)
-    return ModuleChainElement(
-        [interior_product(c, mu_form) for c in element.components],
-        degree=n - element.degree,
-    )
-
-
-def star_inverse(mu: VolumeForm, element: ModuleChainElement) -> ModuleCochainElement:
-    """Inverse of ``star``; defined since the volume coefficient is a unit."""
-    n = element.nvars
-    k = n - element.degree
-    out = []
-    for comp in element.components:
-        terms = {}
-        for idx, poly in comp.terms.items():
-            complement = tuple(i for i in range(n) if i not in idx)
-            sign = subset_sign(complement, tuple(range(n)))
-            terms[complement] = poly.scale(Fraction(sign, mu.coefficient))
-        out.append(MultiVector(n, k, terms))
-    return ModuleCochainElement(out, degree=k)
-
-
 def _triangle_sign(k: int) -> int:
     return -1 if (k * (k + 1) // 2) % 2 else 1
 
 
 def blacktriangle(mu: VolumeForm, element: ModuleCochainElement) -> ModuleChainElement:
-    """(-1)^(k(k+1)/2) star; the sign makes the duality square commute."""
-    return star(mu, element).scale(_triangle_sign(element.degree))
+    """The duality map X |-> (-1)^(k(k+1)/2) iota_X(mu), term by term through
+    ``mu.contract``; the sign makes the duality square commute."""
+    n, k = element.nvars, element.degree
+    sign = _triangle_sign(k)
 
+    def term(idx, poly):
+        complement, coefficient = mu.contract(idx, n)
+        return complement, poly.scale(sign * coefficient)
 
-def blacktriangle_inverse(mu: VolumeForm, element: ModuleChainElement) -> ModuleCochainElement:
-    k = element.nvars - element.degree
-    return star_inverse(mu, element).scale(_triangle_sign(k))
+    return ModuleChainElement([Form(n, n - k, [term(*item) for item in c.terms.items()])
+                               for c in element.components], degree=n - k)
 
 
 def blacktriangle_basis(mu: VolumeForm, n: int, entry: BasisElement):
-    """``blacktriangle`` of one cochain basis vector, as (chain basis vector, coefficient).
-
-    (a, I, alpha) goes to (a, complement of I, alpha), scaled by mu, the
-    shuffle sign of I inside (1..n) and the sign of ``blacktriangle``.
-    """
-    top = tuple(range(n))
-    complement = tuple(i for i in top if i not in entry.indices)
-    sign = subset_sign(entry.indices, top) * _triangle_sign(len(entry.indices))
-    return BasisElement(entry.section, complement, entry.exponents), mu.coefficient * sign
+    """``blacktriangle`` of one cochain basis vector, as (chain basis vector, coefficient)."""
+    complement, coefficient = mu.contract(entry.indices, n)
+    return (BasisElement(entry.section, complement, entry.exponents),
+            coefficient * _triangle_sign(len(entry.indices)))
 
 
 # ----------------------------------------------------------------------

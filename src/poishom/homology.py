@@ -262,7 +262,6 @@ class DualityReport:
     spec_digest: str
     diagram_total: int
     diagram_failures: list
-    random_total: int  # trials run
     weight_shift: int | None  # None outside graded mode
     graded_note: str
     betti_pairs: list
@@ -300,7 +299,7 @@ class DualityReport:
             "spec_digest": self.spec_digest,
             "diagram": {
                 "checked": self.diagram_total,
-                "random_checked": self.random_total,
+                "random_checked": self.trials,
                 "failures": self.diagram_failures,
                 "ok": self.diagram_ok,
             },
@@ -367,6 +366,8 @@ def verify_duality(structure: PoissonStructure, module: PoissonModule,
     only), over the same (k, w): dim HP^k(W) at weight w must equal
     dim HP_{n-k}(W twisted by the opposite modular field) at weight w+n.
     """
+    if trials < 0:
+        raise ValueError(f"trials must be non-negative, got {trials}")
     n = structure.nvars
     phi = structure.modular_vector_field(mu)
     twisted = twist(module, structure, -phi)
@@ -442,7 +443,6 @@ def verify_duality(structure: PoissonStructure, module: PoissonModule,
         ),
         diagram_total=checked,
         diagram_failures=failures,
-        random_total=max(trials, 0),
         weight_shift=shift,
         graded_note=note,
         betti_pairs=pairs,

@@ -42,6 +42,13 @@ class VolumeForm:
         top = tuple(range(nvars))
         return Form(nvars, nvars, {top: Poly.constant(nvars, self.coefficient)})
 
+    def contract(self, indices: tuple, nvars: int) -> tuple:
+        """iota_{Dx_I}(mu) as (complement of I, coefficient): for increasing 0-based I
+        with |I| = k the coefficient is (-1)^(sum I - k(k-1)/2) times mu's."""
+        k = len(indices)
+        sign = -1 if (sum(indices) - k * (k - 1) // 2) % 2 else 1
+        return tuple(i for i in range(nvars) if i not in indices), sign * self.coefficient
+
 
 class PoissonStructure:
     """A bivector field that satisfies the Jacobi identity.
@@ -128,8 +135,9 @@ class PoissonStructure:
     def modular_vector_field(self, mu: VolumeForm) -> MultiVector:
         """The unique vector field phi with bnd(mu) = iota_phi(mu).
 
-        Solved by inverting the top-degree contraction: the coefficient of
-        dx_{1..n drop i} in bnd(mu) equals (-1)^i u phi_i (0-based i).
+        Solved by inverting the top-degree contraction: iota_{Dx_i}(mu) is
+        ``mu.contract((i,), n)``, so phi_i is the coefficient of bnd(mu) at
+        the complement of i divided by that contraction's coefficient.
         The result is cross-validated against the Lie-derivative
         characterization L_{X_{x_i}} mu = phi(x_i) mu on every coordinate;
         a disagreement raises ``ModularFieldError`` with the coordinate and
@@ -141,14 +149,11 @@ class PoissonStructure:
         mu_form = mu.form(n)
         boundary = self.koszul_differential(mu_form)
         out = {}
-        full = tuple(range(n))
         for i in range(n):
-            complement = tuple(j for j in full if j != i)
+            complement, coefficient = mu.contract((i,), n)
             c = boundary.coefficient(complement)
-            if c.is_zero():
-                continue
-            sign = -1 if i % 2 else 1
-            out[(i,)] = c.scale(Fraction(sign, mu.coefficient))
+            if c:
+                out[(i,)] = c.scale(Fraction(1, coefficient))
         phi = MultiVector(n, 1, out)
         for i in range(n):
             x_i = self.coordinates[i]

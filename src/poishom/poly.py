@@ -22,9 +22,9 @@ problem files use 1-based conventions.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from math import comb
-from typing import Iterable, Mapping, Sequence
 
 from .errors import DimensionError, ParseError
 

@@ -98,6 +98,17 @@ def test_load_rejects_decreasing_indices(tmp_path):
         ({"variables": ["x", "2"], "poisson": {"1,2": "2"}, "volume": "1"}, "variables"),
         ({"variables": ["a b", "y"], "poisson": {}, "volume": "1"}, "variables"),
         ({"variables": ["x", "y", "x*y"], "poisson": {}, "volume": "1"}, "variables"),
+        # unknown keys inside "module" and "twist" are refused like top-level ones
+        (
+            {"variables": ["x", "y"], "poisson": {}, "volume": "1",
+             "module": {"rank": 1, "bracket": {}, "brackets": {"x": [["x"]]}}},
+            "module.brackets",
+        ),
+        (
+            {"variables": ["x", "y"], "poisson": {}, "volume": "1",
+             "twist": {"components": ["0", "0"], "scale": 3}},
+            "twist.scale",
+        ),
     ],
 )
 def test_load_schema_violations(tmp_path, payload, field):
@@ -117,7 +128,8 @@ def test_load_constant_volume(tmp_path, text, value):
 
 def test_usage_errors_exit_3(capsys):
     so3 = str(PROBLEMS / "so3.json")
-    for argv in (["duality", so3, "--trials", "abc"], ["check", so3, "--bogus"], ["check"]):
+    for argv in (["duality", so3, "--trials", "abc"], ["duality", so3, "--trials", "-1"],
+                 ["check", so3, "--bogus"], ["check"]):
         assert main(argv) == EXIT_INPUT
         err = capsys.readouterr().err
         assert err.startswith("usage: poishom") and "error:" in err

@@ -22,14 +22,11 @@ from poishom import (
     basis_image,
     blacktriangle,
     blacktriangle_basis,
-    blacktriangle_inverse,
     chain_differential,
     cochain_differential,
     graded_weight_shift,
     interior_product,
     slice_basis,
-    star,
-    star_inverse,
     twist,
     verify_duality,
 )
@@ -264,13 +261,28 @@ def test_twisted_differential_identities():
 
 
 # ----------------------------------------------------------------------
-# star maps
+# duality maps
 
 
-def test_star_basis_contraction():
-    mu = VolumeForm()
-    x = single(1, 0, MultiVector(2, 1, {(0,): p2("1")}))
-    assert star(mu, x) == single(1, 0, Form(2, 1, {(1,): p2("1")}))
+def _iota_mu(mu, X):
+    """The contraction X |-> iota_X(mu) from the generic ``interior_product``."""
+    return interior_product(X, mu.form(X.nvars))
+
+
+def _triangle(mu, X):
+    """``blacktriangle`` from its definition, (-1)^(k(k+1)/2) iota_X(mu)."""
+    k = X.degree
+    return _iota_mu(mu, X).scale(-1 if (k * (k + 1) // 2) % 2 else 1)
+
+
+def test_blacktriangle_is_the_signed_contraction():
+    rng = random.Random(15)
+    for mu in (VolumeForm(), VolumeForm(Fraction(-5, 3))):
+        for n, rank in [(2, 1), (2, 2), (3, 2), (4, 1)]:
+            for k in range(n + 1):
+                for _ in range(3):
+                    X = rand_cochain_element(rng, n, k, rank)
+                    assert blacktriangle(mu, X) == _triangle(mu, X)
 
 
 def test_blacktriangle_signs():
@@ -281,16 +293,19 @@ def test_blacktriangle_signs():
     assert blacktriangle(mu, x0) == single(1, 0, Form(2, 2, {(0, 1): p2("x")}))
 
 
-def test_star_round_trip_all_degrees():
-    rng = random.Random(15)
-    mu = VolumeForm(Fraction(-5, 3))
-    for n, rank in [(2, 1), (2, 2), (3, 2)]:
-        for k in range(n + 1):
-            x = rand_cochain_element(rng, n, k, rank)
-            assert star_inverse(mu, star(mu, x)) == x
-            assert blacktriangle_inverse(mu, blacktriangle(mu, x)) == x
-            y = rand_chain_element(rng, n, n - k, rank)
-            assert star(mu, star_inverse(mu, y)) == y
+def test_blacktriangle_basis_is_a_bijection_of_slice_bases():
+    # (k, w) onto (n-k, w+n), one to one, with nonzero coefficients: the map is invertible
+    for n, rank in [(2, 1), (2, 2), (3, 2), (4, 1)]:
+        W = PoissonModule.trivial(n, rank)
+        for mu in (VolumeForm(), VolumeForm(Fraction(-5, 3))):
+            for k in range(n + 1):
+                for w in range(-k, 3):
+                    images = [blacktriangle_basis(mu, n, e)
+                              for e in slice_basis(W, "cochain", k, w)]
+                    assert images and all(coeff for _, coeff in images)
+                    targets = [target for target, _ in images]
+                    assert len(set(targets)) == len(targets)
+                    assert set(targets) == set(slice_basis(W, "chain", n - k, w + n))
 
 
 def test_duality_square_on_random_elements():
@@ -307,11 +322,11 @@ def test_duality_square_on_random_elements():
             lhs = chain_differential(P, twisted, blacktriangle(mu, X))
             rhs = blacktriangle(mu, cochain_differential(P, W, X))
             assert lhs == rhs
-            # and the star form with the explicit (-1)^(k-1) sign
+            # and the plain contraction form with the explicit (-1)^(k-1) sign
             sign = 1 if (k - 1) % 2 == 0 else -1
-            lhs_star = chain_differential(P, twisted, star(mu, X))
-            rhs_star = star(mu, cochain_differential(P, W, X)).scale(sign)
-            assert lhs_star == rhs_star
+            lhs_iota = chain_differential(P, twisted, _iota_mu(mu, X))
+            rhs_iota = _iota_mu(mu, cochain_differential(P, W, X)).scale(sign)
+            assert lhs_iota == rhs_iota
 
 
 # ----------------------------------------------------------------------
@@ -450,7 +465,7 @@ def _kernel_cases():
 
 def test_basis_maps_match_object_level_on_catalog():
     # every catalog basis vector up to weight 3, the cochain differential and
-    # blacktriangle, against the object-level references (the cochain side
+    # blacktriangle's columns, against the object-level references (the cochain side
     # against the coordinate-tuple oracle, not the function under test)
     for _, P, W, _ in chain_catalog():
         n = P.nvars
@@ -465,7 +480,7 @@ def test_basis_maps_match_object_level_on_catalog():
                     assert expected.is_zero() if rebuilt is None else rebuilt == expected
                     for mu in (VolumeForm(), VolumeForm(Fraction(-3, 2))):
                         target, coeff = blacktriangle_basis(mu, n, entry)
-                        assert blacktriangle(mu, element) == element_from_basis(
+                        assert _triangle(mu, element) == element_from_basis(
                             W, "chain", n - k, target
                         ).scale(coeff)
     # the chain columns, read off exponent dicts, against the Koszul-operator

@@ -25,7 +25,6 @@ from poishom import (
     graded_weight_shift,
     matrix_rank,
     slice_basis,
-    star,
     twist,
     verify_duality,
 )
@@ -252,7 +251,7 @@ def test_verify_duality_bianchi5_twists_the_trivial_line():
     assert [p.text(XYZ) for p in report.modular_field] == ["0", "0", "-2"]
     assert twist(W, P, -P.modular_vector_field(VolumeForm())) != W
     assert report.ok() and report.weight_shift == -1
-    assert report.betti_pairs and report.random_total == 5
+    assert report.betti_pairs and report.to_dict()["diagram"]["random_checked"] == 5
 
 
 def test_symplectic_r4_cohomology_is_constants():
@@ -355,7 +354,7 @@ def test_verify_duality_symplectic_trivial():
     assert report.ok()
     assert all(p.is_zero() for p in report.modular_field)
     assert report.graded and report.weight_shift == -2
-    assert report.diagram_total > 0 and report.random_total == 10
+    assert report.diagram_total > 0 and report.to_dict()["diagram"]["random_checked"] == 10
     assert report.betti_pairs
 
 
@@ -454,9 +453,10 @@ def test_duality_report_is_frozen_and_derives_its_counts():
     with pytest.raises(dataclasses.FrozenInstanceError):
         report.diagram_total = 0
     assert report.graded and report.weight_shift == 0
-    assert report.betti_failures == 0 and report.random_total == 3
-    negative = verify_duality(generic2(), PoissonModule.trivial(2, 1), VolumeForm(), 1, -4, 0)
-    assert negative.random_total == 0 and negative.trials == -4 and not negative.graded
+    assert report.betti_failures == 0 and report.to_dict()["diagram"]["random_checked"] == 3
+    assert not verify_duality(generic2(), PoissonModule.trivial(2, 1), VolumeForm(), 1, 0, 0).graded
+    with pytest.raises(ValueError, match="trials"):
+        verify_duality(generic2(), PoissonModule.trivial(2, 1), VolumeForm(), 1, -4, 0)
 
 
 def test_each_slice_is_assembled_at_most_once_per_run(monkeypatch):

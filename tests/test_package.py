@@ -10,7 +10,6 @@ SRC = Path(poishom.__file__).resolve().parent
 # ("Class.name"), that nothing in the package calls, each with the reason it
 # is public.
 ENTRY_POINTS = {
-    "blacktriangle_inverse": "inverse of the duality isomorphism; the tests' reference for it",
     "elw_connection": "the top-form connection from its own formula; tests compare it with a twist",
     "ComplexSlice.to_text": "slice export for inspection",
 }
