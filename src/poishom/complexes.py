@@ -26,6 +26,18 @@ a term of the second only if J = rest + {p, q} with pi_pq nonzero and rest
 an index tuple of X minus one index (Brylinski, J. Differential Geom. 1988;
 Luo, Wang and Wu, J. Algebra 2015).
 
+Slice columns factor through the Leibniz rule. The second sum is linear
+over functions, and {f e_a, x_j}_W = f {e_a, x_j}_W + {f, x_j} e_a, so
+
+    d(x^alpha D_I e_a) = x^alpha d(D_I e_a)
+                       + sum_{j not in I} (-1)^(t+1) {x^alpha, x_j} e_a D_(I + j)
+
+with t the 0-based position of j in I + j and {x^alpha, x_j} =
+sum_p alpha_p x^(alpha - e_p) {x_p, x_j}. Each column is therefore one
+reference image d(D_I e_a), computed once per (module, a, I) by
+``cochain_differential`` and kept on the structure, shifted by alpha, plus
+alpha_p times the bivector terms {x_p, x_j} shifted by alpha - e_p.
+
 Weight grading: weight(x_i) = weight(dx_i) = +1, weight(d/dx_i) = -1. When
 the bivector is homogeneous of coefficient degree d and every bracket entry
 is homogeneous of degree d-1, both differentials shift weight by exactly
@@ -327,29 +339,78 @@ def _chain_column(structure: PoissonStructure, module: PoissonModule, entry: Bas
     return {key: c for key, c in out.items() if c}
 
 
+def _cochain_tables(structure: PoissonStructure, module: PoissonModule, a: int,
+                    idx: tuple) -> tuple:
+    """The two tables of the Leibniz rule for section a and index tuple I.
+
+    The reference image d(D_I e_a), from ``cochain_differential`` on the
+    constant basis vector, as (b, J, exponents, coefficient); and, for each
+    j not in I, the terms of (-1)^(t+1) {x_p, x_j} e_a D_J, J = I + j, as
+    (p, J, exponents - e_p, coefficient), read off the bivector terms. Kept
+    per (module, a, I) on ``structure``.
+    """
+    key = (module, a, idx)
+    tables = structure._cochain_columns.get(key)
+    if tables is None:
+        constant = BasisElement(a, idx, (0,) * module.nvars)
+        image = cochain_differential(
+            structure, module, element_from_basis(module, "cochain", len(idx), constant))
+        reference = tuple(
+            (b, joined, exps, coeff)
+            for b, comp in enumerate(image.components)
+            for joined, poly in comp.terms.items()
+            for exps, coeff in poly.terms.items()
+        )
+        leibniz = []
+        for (p, q), pi_pq in structure.bivector.terms.items():
+            # {x_p, x_q} = pi_pq and {x_q, x_p} = -pi_pq
+            for u, j, sign in ((p, q, 1), (q, p, -1)):
+                if j in idx:
+                    continue
+                joined = tuple(sorted(idx + (j,)))
+                if joined.index(j) % 2 == 0:  # (-1)**(t+1)
+                    sign = -sign
+                leibniz += [(u, joined, exps[:u] + (exps[u] - 1,) + exps[u + 1:], sign * coeff)
+                            for exps, coeff in pi_pq.terms.items()]
+        tables = structure._cochain_columns[key] = (reference, tuple(leibniz))
+    return tables
+
+
+def _cochain_column(structure: PoissonStructure, module: PoissonModule, entry: BasisElement):
+    """Cochain differential of x^alpha D_I e_a by the Leibniz rule (module
+    docstring): both tables shifted by alpha, the Leibniz terms of p scaled
+    by alpha_p."""
+    a, idx, alpha = entry
+    reference, leibniz = _cochain_tables(structure, module, a, idx)
+    out = defaultdict(int)
+    for b, joined, exps, coeff in reference:
+        out[BasisElement(b, joined, tuple(map(int.__add__, alpha, exps)))] += coeff
+    for p, joined, exps, coeff in leibniz:
+        if alpha[p]:
+            out[BasisElement(a, joined, tuple(map(int.__add__, alpha, exps)))] += alpha[p] * coeff
+    return {key: c for key, c in out.items() if c}
+
+
 def basis_image(structure: PoissonStructure, module: PoissonModule, kind: str,
                 degree: int, entry: BasisElement) -> dict:
     """Image of one basis vector under the differential, as {BasisElement: coefficient}.
 
     Slice assembly and the chain-level duality check both read the
     differentials through this function. Chain columns come from exponent
-    dicts (``_chain_column``), cochain columns from ``cochain_differential``.
+    dicts (``_chain_column``); cochain columns by the Leibniz rule from one
+    ``cochain_differential`` image per (module, section, index tuple),
+    shifted by x^alpha (``_cochain_column``). Both check flatness, the
+    variable counts and the shape of ``entry`` on every call.
     """
     if kind not in ("chain", "cochain"):
         raise ValueError(f"unknown kind {kind!r}")
+    _require_flat(module, structure)
+    n = module.nvars
+    if structure.nvars != n or len(entry.indices) != degree or len(entry.exponents) != n:
+        raise DimensionError(f"{entry} is not a {kind} basis vector of degree {degree}")
     if kind == "chain":
-        _require_flat(module, structure)
-        if structure.nvars != module.nvars or len(entry.indices) != degree:
-            raise DimensionError(f"{entry} is not a chain basis vector of degree {degree}")
         return _chain_column(structure, module, entry)
-    image = cochain_differential(structure, module,
-                                 element_from_basis(module, kind, degree, entry))
-    return {
-        BasisElement(a, idx, exps): coeff
-        for a, comp in enumerate(image.components)
-        for idx, poly in comp.terms.items()
-        for exps, coeff in poly.terms.items()
-    }
+    return _cochain_column(structure, module, entry)
 
 
 def assemble_slice(structure: PoissonStructure, module: PoissonModule,

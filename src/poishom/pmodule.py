@@ -49,7 +49,7 @@ class PoissonModule:
     Equality and hashing use the bracket data alone.
     """
 
-    __slots__ = ("nvars", "rank", "brackets", "structure")
+    __slots__ = ("nvars", "rank", "brackets", "structure", "_hash")
 
     def __init__(self, nvars: int, rank: int, brackets, *, structure=None):
         if rank < 1:
@@ -58,6 +58,8 @@ class PoissonModule:
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "brackets", brackets)
+        # immutable, so hashed once: the cochain column memo hashes it per column
+        object.__setattr__(self, "_hash", hash(("PoissonModule", nvars, rank, brackets)))
         if structure is not None:
             witness = flatness_defect(self, structure)
             if witness is not None:
@@ -100,7 +102,7 @@ class PoissonModule:
         )
 
     def __hash__(self):
-        return hash(("PoissonModule", self.nvars, self.rank, self.brackets))
+        return self._hash
 
     def __repr__(self):
         return f"PoissonModule(nvars={self.nvars}, rank={self.rank})"

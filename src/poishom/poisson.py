@@ -61,7 +61,7 @@ class PoissonStructure:
     instance is a Poisson structure, and no operation checks again.
     """
 
-    __slots__ = ("bivector", "nvars", "coordinates", "_modular")
+    __slots__ = ("bivector", "nvars", "coordinates", "_modular", "_cochain_columns")
 
     def __init__(self, bivector: MultiVector):
         if not isinstance(bivector, MultiVector):
@@ -76,6 +76,9 @@ class PoissonStructure:
         # the coordinate functions x_1..x_n, built once (a Poly is immutable)
         object.__setattr__(self, "coordinates", tuple(Poly.variable(n, i) for i in range(n)))
         object.__setattr__(self, "_modular", {})  # VolumeForm -> checked modular field
+        # (module, section, index tuple) -> the cochain column tables of
+        # ``complexes.basis_image``, filled on first use
+        object.__setattr__(self, "_cochain_columns", {})
         x, br = self.coordinates, self.bracket
         for i, j, k in combinations(range(n), 3):
             jac = (br(br(x[i], x[j]), x[k]) + br(br(x[j], x[k]), x[i])

@@ -1,5 +1,7 @@
+import math
 import random
 import re
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -20,6 +22,7 @@ from poishom import (
     VolumeForm,
     assemble_slice,
     basis_image,
+    betti_table,
     blacktriangle,
     blacktriangle_basis,
     chain_differential,
@@ -484,8 +487,18 @@ def test_basis_maps_match_object_level_on_catalog():
                             W, "chain", n - k, target
                         ).scale(coeff)
     # the chain columns, read off exponent dicts, against the Koszul-operator
-    # differential at every degree and coefficient degree 0..3
+    # differential, and the cochain columns, built by the Leibniz rule, against
+    # the oracle, at every degree and coefficient degree 0..3
     for P, W in _kernel_cases():
+        for k in range(P.nvars + 1):
+            for coeff_degree in range(4):
+                for entry in slice_basis(W, "cochain", k, coeff_degree - k):
+                    element = element_from_basis(W, "cochain", k, entry)
+                    expected = cochain_differential_oracle(P, W, element)
+                    image = basis_image(P, W, "cochain", k, entry)
+                    assert all(image.values())
+                    rebuilt = _rebuild(W, "cochain", k + 1, image)
+                    assert expected.is_zero() if rebuilt is None else rebuilt == expected
         for q in range(P.nvars + 1):
             for coeff_degree in range(4):
                 for entry in slice_basis(W, "chain", q, q + coeff_degree):
@@ -505,6 +518,47 @@ def test_chain_basis_image_keeps_the_gates():
         basis_image(so3(), PoissonModule.trivial(2, 1), "chain", 1, entry)
     with pytest.raises(DimensionError):
         basis_image(quadratic2(), W, "chain", 2, entry)
+
+
+def test_cochain_basis_image_keeps_the_gates():
+    P = quadratic2()
+    W = quadratic_rank2(P)
+    entry = slice_basis(W, "cochain", 1, 1)[-1]
+    assert basis_image(P, W, "cochain", 1, entry)  # memoised on P
+    # equal bracket data, so the same memo key, but not known to be flat
+    unchecked = PoissonModule(2, 2, W.brackets)
+    assert unchecked == W and unchecked.structure is None
+    with pytest.raises(PoishomError, match="not known to be flat"):
+        basis_image(P, unchecked, "cochain", 1, entry)
+    with pytest.raises(PoishomError, match="not known to be flat"):
+        basis_image(symplectic2(), W, "cochain", 1, entry)
+    with pytest.raises(DimensionError):
+        basis_image(so3(), PoissonModule.trivial(2, 1), "cochain", 1, entry)
+    with pytest.raises(DimensionError):
+        basis_image(P, W, "cochain", 2, entry)
+    for exponents in ((1,), (1, 0, 0)):
+        with pytest.raises(DimensionError):
+            basis_image(P, W, "cochain", 1, entry._replace(exponents=exponents))
+
+
+def test_cochain_columns_call_the_object_level_differential_once_per_section_and_tuple(
+        monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args[2].degree)
+        return cochain_differential(*args)
+
+    monkeypatch.setattr("poishom.complexes.cochain_differential", counted)
+    W = PoissonModule.trivial(3, 1)
+    P = so3()
+    betti_table(P, W, "cohomology", 6)
+    first = Counter(calls)
+    assert first and all(first[k] <= W.rank * math.comb(3, k) for k in first)
+    betti_table(P, W, "cohomology", 6)  # the same structure keeps its images
+    assert Counter(calls) == first
+    betti_table(so3(), W, "cohomology", 6)  # a fresh one computes them again
+    assert Counter(calls) == first + first
 
 
 def test_basis_image_refuses_an_unknown_kind():

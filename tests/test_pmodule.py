@@ -204,6 +204,21 @@ def test_double_twist_is_identity():
         assert twist(twist(W, P, phi), P, -phi) == W
 
 
+def test_equal_modules_hash_alike():
+    # the hash is stored at construction; it must follow the bracket data
+    # whatever path built the module and whichever structure it records
+    P = quadratic2()
+    W = quadratic_rank2(P)
+    phi = P.modular_vector_field(VolumeForm())
+    negated = tuple(tuple(tuple(-entry for entry in row) for row in m) for m in W.brackets)
+    built = (PoissonModule(2, 2, W.brackets), twist(twist(W, P, phi), P, -phi),
+             PoissonModule.from_connection(2, 2, negated))
+    assert all(other == W and hash(other) == hash(W) for other in built)
+    assert len({W, *built}) == 1
+    assert hash(elw_connection(P, VolumeForm())) == hash(
+        twist(PoissonModule.trivial(2, 1), P, phi))
+
+
 def test_twist_requires_poisson_field():
     P = symplectic2()
     euler = MultiVector(2, 1, {(0,): p2("x")})
