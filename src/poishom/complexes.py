@@ -7,10 +7,9 @@ decomposes, on each basis section, as
 
 where bnd = iota_pi d - d iota_pi is the scalar Koszul differential and
 X_a = {e_a,-}_W is the W-valued vector field sum_{i,b} B_i[a][b] d/dx_i e_b.
-Slice columns read both off the exponent dicts of pi and B; the reference
-``chain_differential`` goes through the Koszul operator and builds duality
-witnesses. The decomposition is equivalent to the two-sum formula on
-decomposables (the test suite checks this against an independent oracle).
+``chain_differential`` applies it through the Koszul operator. The
+decomposition is equivalent to the two-sum formula on decomposables (the
+test suite checks this against an independent oracle).
 
 Cochain side: W-valued multiderivations of degree k with the degree +1
 differential
@@ -26,17 +25,26 @@ a term of the second only if J = rest + {p, q} with pi_pq nonzero and rest
 an index tuple of X minus one index (Brylinski, J. Differential Geom. 1988;
 Luo, Wang and Wu, J. Algebra 2015).
 
-Slice columns factor through the Leibniz rule. The second sum is linear
-over functions, and {f e_a, x_j}_W = f {e_a, x_j}_W + {f, x_j} e_a, so
+Slice columns follow from one first-order rule. Both differentials are
+first-order operators in the coefficient,
 
-    d(x^alpha D_I e_a) = x^alpha d(D_I e_a)
-                       + sum_{j not in I} (-1)^(t+1) {x^alpha, x_j} e_a D_(I + j)
+    d(f X)     = f dX       + X_f ^ X,
+    bnd^W(f w) = f bnd^W(w) - iota_{X_f} w,
 
-with t the 0-based position of j in I + j and {x^alpha, x_j} =
-sum_p alpha_p x^(alpha - e_p) {x_p, x_j}. Each column is therefore one
-reference image d(D_I e_a), computed once per (module, a, I) by
-``cochain_differential`` and kept on the structure, shifted by alpha, plus
-alpha_p times the bivector terms {x_p, x_j} shifted by alpha - e_p.
+componentwise over the sections, with X_f the Hamiltonian field of f and
+bnd^W the chain differential (Koszul, Asterisque 1985; Brylinski 1988). For
+a basis vector b = e_a (x) D_I or e_a (x) dx_I and f = x^alpha, X_f =
+sum_p alpha_p x^(alpha - e_p) X_{x_p}, so with D either differential
+
+    D(x^alpha b) = x^alpha D(b) + sum_p alpha_p x^(alpha - e_p) sigma_p(b),
+
+where the symbol sigma_p(b) is X_{x_p} ^ D_I e_a on cochains and
+-iota_{X_{x_p}} dx_I e_a on chains. D(b) is one image of the reference
+differential on the constant basis vector and sigma_p(b) one wedge or
+contraction; both are computed once per (kind, module, a, I) and kept on the
+structure, so every column is these tables shifted by alpha and the symbol
+of p scaled by alpha_p. The only sign rules are those of the object-level
+calculus.
 
 Weight grading: weight(x_i) = weight(dx_i) = +1, weight(d/dx_i) = -1. When
 the bivector is homogeneous of coefficient degree d and every bracket entry
@@ -59,7 +67,7 @@ from .calculus import (
     ModuleCochainElement,
     MultiVector,
     _accumulate,
-    subset_sign,
+    interior_product,
 )
 from .errors import DimensionError, GradedModeError
 from .pmodule import PoissonModule, _require_flat, bracket_vector
@@ -302,93 +310,46 @@ class ComplexSlice:
         return "\n".join(lines)
 
 
-def _d(exps: tuple, idx: tuple):
-    """Terms (coefficient, exponents, indices) of d(x^exps dx_idx)."""
-    for s, e in enumerate(exps):
-        if e and s not in idx:
-            joined = tuple(sorted(idx + (s,)))
-            yield (-e if joined.index(s) % 2 else e), exps[:s] + (e - 1,) + exps[s + 1:], joined
+def _table(sections, lower: int | None = None) -> tuple:
+    """The terms of (section, form or multivector) pairs as (section, indices,
+    exponents, coefficient), exponents lowered by e_lower if it is given."""
+    return tuple(
+        (b, idx, exps if lower is None else exps[:lower] + (exps[lower] - 1,) + exps[lower + 1:],
+         coeff)
+        for b, comp in sections
+        for idx, poly in comp.terms.items()
+        for exps, coeff in poly.terms.items()
+    )
 
 
-def _iota_pi(structure: PoissonStructure, exps: tuple, idx: tuple):
-    """Terms (coefficient, exponents, indices) of iota_pi(x^exps dx_idx)."""
-    for (p, q), pi_pq in structure.bivector.terms.items():
-        if p in idx and q in idx:
-            rest, sign = tuple(u for u in idx if u != p and u != q), subset_sign((p, q), idx)
-            for e, c in pi_pq.terms.items():
-                yield sign * c, tuple(map(int.__add__, exps, e)), rest
+def _column_tables(structure: PoissonStructure, module: PoissonModule, kind: str,
+                   a: int, idx: tuple) -> tuple:
+    """The tables of the first-order rule (module docstring) for b = e_a (x) I.
 
-
-def _chain_column(structure: PoissonStructure, module: PoissonModule, entry: BasisElement):
-    """Chain differential of e_a (x) x^alpha dx_I, read off the exponent dicts:
-    bnd = iota_pi d - d iota_pi on the monomial, then the contraction with
-    X_a, (-1)^t x^alpha B_i[a][b] e_b (x) dx_(I - i) for i = I[t]."""
-    a, idx, alpha = entry
-    out = defaultdict(int)
-    for c, exps, joined in _d(alpha, idx):
-        for c2, exps2, rest in _iota_pi(structure, exps, joined):
-            out[BasisElement(a, rest, exps2)] += c * c2
-    for c, exps, rest in _iota_pi(structure, alpha, idx):
-        for c2, exps2, joined in _d(exps, rest):
-            out[BasisElement(a, joined, exps2)] -= c * c2
-    for t, i in enumerate(idx):
-        rest = idx[:t] + idx[t + 1:]
-        for b, entry_ab in enumerate(module.brackets[i][a]):
-            for e, c in entry_ab.terms.items():
-                out[BasisElement(b, rest, tuple(map(int.__add__, alpha, e)))] += -c if t % 2 else c
-    return {key: c for key, c in out.items() if c}
-
-
-def _cochain_tables(structure: PoissonStructure, module: PoissonModule, a: int,
-                    idx: tuple) -> tuple:
-    """The two tables of the Leibniz rule for section a and index tuple I.
-
-    The reference image d(D_I e_a), from ``cochain_differential`` on the
-    constant basis vector, as (b, J, exponents, coefficient); and, for each
-    j not in I, the terms of (-1)^(t+1) {x_p, x_j} e_a D_J, J = I + j, as
-    (p, J, exponents - e_p, coefficient), read off the bivector terms. Kept
-    per (module, a, I) on ``structure``.
+    Table 0 is D(b), one ``cochain_differential`` or ``chain_differential``
+    image of the constant basis vector; table 1 + p is the symbol
+    sigma_p(b), X_{x_p} ^ D_I e_a on cochains and -iota_{X_{x_p}} dx_I e_a
+    on chains, with exponents lowered by e_p. Each holds (b, indices,
+    exponents, coefficient) and all are kept per (kind, module, a, I) on
+    ``structure``.
     """
-    key = (module, a, idx)
-    tables = structure._cochain_columns.get(key)
+    key = (kind, module, a, idx)
+    tables = structure._columns.get(key)
     if tables is None:
-        constant = BasisElement(a, idx, (0,) * module.nvars)
-        image = cochain_differential(
-            structure, module, element_from_basis(module, "cochain", len(idx), constant))
-        reference = tuple(
-            (b, joined, exps, coeff)
-            for b, comp in enumerate(image.components)
-            for joined, poly in comp.terms.items()
-            for exps, coeff in poly.terms.items()
+        n = module.nvars
+        constant = element_from_basis(module, kind, len(idx), BasisElement(a, idx, (0,) * n))
+        comp = constant.components[a]
+        if kind == "cochain":
+            image = cochain_differential(structure, module, constant)
+            symbols = [field.wedge(comp) for field in structure._hamiltonians]
+        else:
+            image = chain_differential(structure, module, constant)
+            symbols = [-interior_product(field, comp) for field in structure._hamiltonians]
+        tables = structure._columns[key] = (
+            _table(enumerate(image.components)),
+            *(_table([(a, symbol)], p) for p, symbol in enumerate(symbols)),
         )
-        leibniz = []
-        for (p, q), pi_pq in structure.bivector.terms.items():
-            # {x_p, x_q} = pi_pq and {x_q, x_p} = -pi_pq
-            for u, j, sign in ((p, q, 1), (q, p, -1)):
-                if j in idx:
-                    continue
-                joined = tuple(sorted(idx + (j,)))
-                if joined.index(j) % 2 == 0:  # (-1)**(t+1)
-                    sign = -sign
-                leibniz += [(u, joined, exps[:u] + (exps[u] - 1,) + exps[u + 1:], sign * coeff)
-                            for exps, coeff in pi_pq.terms.items()]
-        tables = structure._cochain_columns[key] = (reference, tuple(leibniz))
     return tables
-
-
-def _cochain_column(structure: PoissonStructure, module: PoissonModule, entry: BasisElement):
-    """Cochain differential of x^alpha D_I e_a by the Leibniz rule (module
-    docstring): both tables shifted by alpha, the Leibniz terms of p scaled
-    by alpha_p."""
-    a, idx, alpha = entry
-    reference, leibniz = _cochain_tables(structure, module, a, idx)
-    out = defaultdict(int)
-    for b, joined, exps, coeff in reference:
-        out[BasisElement(b, joined, tuple(map(int.__add__, alpha, exps)))] += coeff
-    for p, joined, exps, coeff in leibniz:
-        if alpha[p]:
-            out[BasisElement(a, joined, tuple(map(int.__add__, alpha, exps)))] += alpha[p] * coeff
-    return {key: c for key, c in out.items() if c}
 
 
 def basis_image(structure: PoissonStructure, module: PoissonModule, kind: str,
@@ -396,11 +357,12 @@ def basis_image(structure: PoissonStructure, module: PoissonModule, kind: str,
     """Image of one basis vector under the differential, as {BasisElement: coefficient}.
 
     Slice assembly and the chain-level duality check both read the
-    differentials through this function. Chain columns come from exponent
-    dicts (``_chain_column``); cochain columns by the Leibniz rule from one
-    ``cochain_differential`` image per (module, section, index tuple),
-    shifted by x^alpha (``_cochain_column``). Both check flatness, the
-    variable counts and the shape of ``entry`` on every call.
+    differentials through this function. The column of x^alpha b follows
+    the first-order rule of the module docstring from the tables of b
+    (``_column_tables``): the reference image D(b) shifted by x^alpha, plus
+    alpha_p times the symbol table of p, shifted by x^(alpha - e_p). It
+    checks flatness, the variable counts and the shape of ``entry`` on
+    every call.
     """
     if kind not in ("chain", "cochain"):
         raise ValueError(f"unknown kind {kind!r}")
@@ -408,9 +370,13 @@ def basis_image(structure: PoissonStructure, module: PoissonModule, kind: str,
     n = module.nvars
     if structure.nvars != n or len(entry.indices) != degree or len(entry.exponents) != n:
         raise DimensionError(f"{entry} is not a {kind} basis vector of degree {degree}")
-    if kind == "chain":
-        return _chain_column(structure, module, entry)
-    return _cochain_column(structure, module, entry)
+    a, idx, alpha = entry
+    out = defaultdict(int)
+    for scale, table in zip((1, *alpha), _column_tables(structure, module, kind, a, idx)):
+        if scale:
+            for b, joined, exps, coeff in table:
+                out[BasisElement(b, joined, tuple(map(int.__add__, alpha, exps)))] += scale * coeff
+    return {key: c for key, c in out.items() if c}
 
 
 def assemble_slice(structure: PoissonStructure, module: PoissonModule,

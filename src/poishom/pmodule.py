@@ -58,7 +58,7 @@ class PoissonModule:
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "brackets", brackets)
-        # immutable, so hashed once: the cochain column memo hashes it per column
+        # immutable, so hashed once: the column memo hashes it per column
         object.__setattr__(self, "_hash", hash(("PoissonModule", nvars, rank, brackets)))
         if structure is not None:
             witness = flatness_defect(self, structure)

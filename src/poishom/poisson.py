@@ -61,7 +61,8 @@ class PoissonStructure:
     instance is a Poisson structure, and no operation checks again.
     """
 
-    __slots__ = ("bivector", "nvars", "coordinates", "_modular", "_cochain_columns")
+    __slots__ = ("bivector", "nvars", "coordinates", "_modular", "_hamiltonians",
+                 "_columns")
 
     def __init__(self, bivector: MultiVector):
         if not isinstance(bivector, MultiVector):
@@ -76,15 +77,17 @@ class PoissonStructure:
         # the coordinate functions x_1..x_n, built once (a Poly is immutable)
         object.__setattr__(self, "coordinates", tuple(Poly.variable(n, i) for i in range(n)))
         object.__setattr__(self, "_modular", {})  # VolumeForm -> checked modular field
-        # (module, section, index tuple) -> the cochain column tables of
+        # (kind, module, section, index tuple) -> the column tables of
         # ``complexes.basis_image``, filled on first use
-        object.__setattr__(self, "_cochain_columns", {})
+        object.__setattr__(self, "_columns", {})
         x, br = self.coordinates, self.bracket
         for i, j, k in combinations(range(n), 3):
             jac = (br(br(x[i], x[j]), x[k]) + br(br(x[j], x[k]), x[i])
                    + br(br(x[k], x[i]), x[j]))
             if not jac.is_zero():
                 raise JacobiError((i, j, k, jac))
+        # X_{x_1}..X_{x_n}, the symbols of both differentials in the coefficient
+        object.__setattr__(self, "_hamiltonians", tuple(self.hamiltonian(c) for c in x))
 
     def __setattr__(self, name, value):
         raise AttributeError("PoissonStructure is immutable")

@@ -116,6 +116,18 @@ def so3_rank2(structure) -> PoissonModule:
     return PoissonModule(3, 2, (b_x, b_y, b_z), structure=structure)
 
 
+def so3_adjoint(structure) -> PoissonModule:
+    """The adjoint module of so(3): rank 3, (B_i)_ab = -epsilon_iab. Its
+    constant matrices do not commute, and they are graded for the linear
+    structure (degree 0 = d - 1)."""
+    def epsilon(i, a, b):
+        return (i - a) * (a - b) * (b - i) // 2
+
+    return PoissonModule(3, 3, tuple(
+        tuple(tuple(Poly.constant(3, -epsilon(i, a, b)) for b in range(3)) for a in range(3))
+        for i in range(3)), structure=structure)
+
+
 def chain_catalog():
     """(label, structure, module, mu) triples for chain-level duality checks."""
     mu = VolumeForm()
@@ -135,10 +147,11 @@ def chain_catalog():
 def graded_catalog():
     """(label, structure, module, mu, weight cap) for the Betti comparisons.
 
-    The rank-2 entries are the graded flat choices: for the quadratic
-    structure the diagonal degree-1 module, for the constant and linear
-    structures the trivial rank-2 module (graded mode forces bracket
-    degree d-1, which over polynomials admits only zero matrices there).
+    The rank-2 entries are graded flat choices (graded mode forces bracket
+    degree d-1): for the quadratic structure the diagonal degree-1 module,
+    for the constant and linear structures the trivial rank-2 module. The
+    linear structure also admits nonzero constant matrices, as in
+    ``so3_adjoint``; the constant one admits none, degree -1.
     """
     mu = VolumeForm()
     out = []

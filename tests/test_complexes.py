@@ -31,7 +31,6 @@ from poishom import (
     interior_product,
     slice_basis,
     twist,
-    verify_duality,
 )
 from poishom.cli import load
 from poishom.complexes import element_from_basis
@@ -51,6 +50,7 @@ from catalog import (
     rand_cochain_element,
     rand_poly,
     so3,
+    so3_adjoint,
     so3_rank2,
     symplectic2,
     symplectic_rank2,
@@ -263,6 +263,31 @@ def test_twisted_differential_identities():
             )
 
 
+def test_differentials_are_first_order_in_the_coefficient():
+    # d(fX) = f dX + X_f ^ X  and  bnd(f w) = f bnd(w) - iota_{X_f} w, componentwise,
+    # the rule ``basis_image`` builds its columns by
+    rng = random.Random(17)
+    cases = 0
+    for _, P, W, _ in chain_catalog():
+        n = P.nvars
+        for degree in range(n + 1):
+            for _ in range(2):
+                f = rand_poly(rng, n, max_degree=3)
+                X_f = P.hamiltonian(f)
+                X = rand_cochain_element(rng, n, degree, W.rank, max_degree=3)
+                symbol = ModuleCochainElement([X_f.wedge(c) for c in X.components],
+                                              degree=min(degree + 1, n))
+                assert cochain_differential(P, W, X.scale(f)) == (
+                    cochain_differential(P, W, X).scale(f) + symbol)
+                y = rand_chain_element(rng, n, degree, W.rank, max_degree=3)
+                symbol = ModuleChainElement([interior_product(X_f, c) for c in y.components],
+                                            degree=max(degree - 1, 0))
+                assert chain_differential(P, W, y.scale(f)) == (
+                    chain_differential(P, W, y).scale(f) - symbol)
+                cases += 1
+    assert cases == 60
+
+
 # ----------------------------------------------------------------------
 # duality maps
 
@@ -449,12 +474,14 @@ def _rebuild(module, kind, degree, image):
 
 
 def _kernel_cases():
-    """(structure, module) pairs for the chain columns: both catalogs and the
-    shipped trivial-module inputs, each module also twisted by the opposite
-    modular field exactly as ``verify_duality`` twists it."""
+    """(structure, module) pairs for the slice columns: both catalogs, the
+    so(3) adjoint module (nonzero constant brackets) and the shipped
+    trivial-module inputs, each module also twisted by the opposite modular
+    field exactly as ``verify_duality`` twists it."""
     root = Path(__file__).resolve().parent.parent
     triples = [(P, W, mu) for _, P, W, mu in chain_catalog()]
     triples += [(P, W, mu) for _, P, W, mu, _ in graded_catalog()]
+    triples.append((so3(), so3_adjoint(so3()), VolumeForm()))
     for path in [root / "problems" / "bianchi5.json",
                  *sorted((root / "bench" / "inputs").glob("*.json"))]:
         spec = load(str(path))
@@ -486,9 +513,10 @@ def test_basis_maps_match_object_level_on_catalog():
                         assert _triangle(mu, element) == element_from_basis(
                             W, "chain", n - k, target
                         ).scale(coeff)
-    # the chain columns, read off exponent dicts, against the Koszul-operator
-    # differential, and the cochain columns, built by the Leibniz rule, against
-    # the oracle, at every degree and coefficient degree 0..3
+    # both kinds of columns, built by the first-order rule, against the
+    # object-level references (the chain side against the Koszul-operator
+    # differential, the cochain side against the oracle), at every degree and
+    # coefficient degree 0..3
     for P, W in _kernel_cases():
         for k in range(P.nvars + 1):
             for coeff_degree in range(4):
@@ -541,24 +569,32 @@ def test_cochain_basis_image_keeps_the_gates():
             basis_image(P, W, "cochain", 1, entry._replace(exponents=exponents))
 
 
-def test_cochain_columns_call_the_object_level_differential_once_per_section_and_tuple(
-        monkeypatch):
+@pytest.mark.parametrize("kind", ["cochain", "chain"])
+def test_columns_call_the_reference_once_per_section_and_tuple(monkeypatch, kind):
+    reference = cochain_differential if kind == "cochain" else chain_differential
     calls = []
 
     def counted(*args):
-        calls.append(args[2].degree)
-        return cochain_differential(*args)
+        calls.append(args[2])
+        return reference(*args)
 
-    monkeypatch.setattr("poishom.complexes.cochain_differential", counted)
-    W = PoissonModule.trivial(3, 1)
-    P = so3()
-    betti_table(P, W, "cohomology", 6)
-    first = Counter(calls)
-    assert first and all(first[k] <= W.rank * math.comb(3, k) for k in first)
-    betti_table(P, W, "cohomology", 6)  # the same structure keeps its images
-    assert Counter(calls) == first
-    betti_table(so3(), W, "cohomology", 6)  # a fresh one computes them again
-    assert Counter(calls) == first + first
+    monkeypatch.setattr(f"poishom.complexes.{kind}_differential", counted)
+    mode = "cohomology" if kind == "cochain" else "homology"
+    W = quadratic_rank2(quadratic2())
+
+    def run(P, max_weight):
+        calls.clear()
+        betti_table(P, W, mode, max_weight)
+        return Counter(element.degree for element in calls)
+
+    P = quadratic2()
+    first = run(P, 4)
+    assert first and all(first[k] <= W.rank * math.comb(2, k) for k in first)
+    for element in calls:  # one constant basis vector e_a (x) I each
+        [(_, poly)] = [item for c in element.components for item in c.terms.items()]
+        assert poly == Poly.constant(2, 1)
+    assert run(quadratic2(), 2) == first  # none per column
+    assert run(P, 4) == Counter()  # the same structure keeps its tables
 
 
 def test_basis_image_refuses_an_unknown_kind():
@@ -567,25 +603,6 @@ def test_basis_image_refuses_an_unknown_kind():
     for kind in ("cochains", "homology", ""):
         with pytest.raises(ValueError, match=f"unknown kind {kind!r}"):
             basis_image(P, W, kind, 2, entry)
-
-
-@pytest.mark.parametrize("make", [
-    lambda: (so3(), PoissonModule.trivial(3, 1)),
-    lambda: (quadratic2(), quadratic_rank2(quadratic2())),
-], ids=["so3", "quadratic_rank2"])
-def test_verify_duality_columns_skip_the_object_level_chain_differential(monkeypatch, make):
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return chain_differential(*args)
-
-    monkeypatch.setattr("poishom.complexes.chain_differential", counted)
-    monkeypatch.setattr("poishom.homology.chain_differential", counted)
-    P, W = make()
-    report = verify_duality(P, W, VolumeForm(), max_weight=3, trials=0)
-    assert report.ok() and report.diagram_total > 0
-    assert calls == []
 
 
 def test_slice_export_text_contains_grid():

@@ -41,6 +41,7 @@ from catalog import (
     quadratic_rank2,
     rank_oracle,
     so3,
+    so3_adjoint,
     symplectic2,
     zero2,
 )
@@ -228,6 +229,26 @@ def test_so3_casimir_dimensions():
                 else 0
             )
     assert table.entries == expected
+
+
+def test_so3_adjoint_module_dimensions():
+    """Coefficients in the adjoint module g = so(3): HP(so(3)*, g) is
+    H(g, S(g) (x) g) = H(g) (x) (S(g) (x) g)^g for semisimple g (Chevalley
+    and Eilenberg, Trans. AMS 63, 1948), and (S^m(g) (x) g)^g is one-
+    dimensional for odd m (spanned by c^((m-1)/2) sum_i x_i e_i, c the
+    Casimir) and zero for even m. With m = w + k the coefficient degree and
+    b = (1, 0, 0, 1), dim HP^k_w = b_k [m >= 1 and m odd]. The bracket
+    matrices are nonzero constants that do not commute."""
+    P = so3()
+    W = so3_adjoint(P)
+    table = betti_table(P, W, "cohomology", 5)
+    b = (1, 0, 0, 1)
+    assert table.entries == {
+        (k, w): b[k] * int(w + k >= 1 and (w + k) % 2 == 1)
+        for k in range(4) for w in range(-k, 6)
+    }
+    report = verify_duality(P, W, VolumeForm(), max_weight=3, trials=3)
+    assert report.ok() and report.diagram_total == 1131
 
 
 def test_lie_poisson_constant_slices_give_lie_algebra_betti_numbers():
