@@ -11,6 +11,11 @@ with values in the free module W); this componentwise representation is the
 coordinate form of the isomorphism between W (x) X^k and multiderivations
 with values in W.
 
+Signs: every shuffle sign comes from ``wedge_indices``, the sign of
+dx_I ^ dx_J = sign dx_(I+J). Wedge products and d use it directly,
+``interior_product`` contracts dx_I = sign dx_J ^ dx_(I-J) by Dx_J, and
+``MultiVector.evaluate`` pairs X with the wedge df_1 ^ ... ^ df_k.
+
 Degree bookkeeping: operations that would land outside 0..n (contracting
 more than is available, differentiating a top form) return a canonical zero
 element whose ``degree`` is clamped into range. Addition treats a zero
@@ -22,7 +27,6 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
-from itertools import permutations
 
 from .errors import DimensionError
 from .poly import Poly
@@ -38,42 +42,18 @@ def _accumulate(out: dict, key, piece: Poly):
         out[key] = acc
 
 
-def _inversion_sign(seq) -> int:
-    """(-1)**(pairs out of order in ``seq``): the sign of the sort of ``seq``."""
-    inversions = sum(1 for i, a in enumerate(seq) for b in seq[i + 1 :] if a > b)
-    return -1 if inversions % 2 else 1
-
-
 def wedge_indices(left: tuple, right: tuple):
-    """Merge two increasing index tuples; returns (sign, merged) or None.
+    """Merge two increasing index tuples: dx_left ^ dx_right = sign dx_merged.
 
-    None signals a repeated index (the wedge vanishes). The sign is that of
-    the permutation sorting the concatenation.
+    Returns (sign, merged), or None on a repeated index (the wedge
+    vanishes). The sign is (-1)**(pairs a in left, b in right with a > b),
+    the sign of the shuffle sorting the concatenation. Every shuffle sign of
+    the calculus comes from here.
     """
-    if set(left) & set(right):
+    if not set(left).isdisjoint(right):
         return None
-    merged = left + right
-    return (_inversion_sign(merged), tuple(sorted(merged)))
-
-
-def subset_sign(sub: tuple, full: tuple):
-    """Sign of the shuffle moving ``sub`` to the front of ``full``.
-
-    Both tuples are strictly increasing and ``sub`` must be contained in
-    ``full``; returns None if it is not. The sign is (-1)**sum(p_t - t) over
-    the positions p_t of the entries of ``sub`` inside ``full``.
-    """
-    positions = []
-    cursor = 0
-    for s in sub:
-        while cursor < len(full) and full[cursor] != s:
-            cursor += 1
-        if cursor == len(full):
-            return None
-        positions.append(cursor)
-        cursor += 1
-    total = sum(p - t for t, p in enumerate(positions))
-    return -1 if total % 2 else 1
+    inversions = sum(1 for a in left for b in right if a > b)
+    return (-1 if inversions % 2 else 1, tuple(sorted(left + right)))
 
 
 class _Alternating:
@@ -269,32 +249,28 @@ class MultiVector(_Alternating):
     def evaluate(self, *functions: Poly) -> Poly:
         """Apply the multiderivation to functions: X(df_1, ..., df_k).
 
-        The value on each basis component Dx_J is the Jacobian determinant
-        det(df_s/dx_{j_t}).
+        X pairs with the k-form df_1 ^ ... ^ df_k: the value is the sum of
+        c_J (df_1 ^ ... ^ df_k)_J over the terms c_J Dx_J of X.
         """
         if len(functions) != self.degree:
             raise DimensionError(
                 f"degree-{self.degree} multivector applied to {len(functions)} arguments"
             )
-        k = self.degree
-        result = Poly._raw(self.nvars, {})
-        if k == 0:
-            return result + self.coefficient(())
+        n = self.nvars
+        if self.degree == 0:
+            return self.coefficient(())
+        result = Poly._raw(n, {})
         if not self.terms:
             return result
-        grads = [[f.partial(i) for i in range(self.nvars)] for f in functions]
+        grads = [Form._raw(n, 1, {(i,): p for i in range(n) if (p := f.partial(i))})
+                 for f in functions]
+        product = grads[0]
+        for grad in grads[1:]:
+            product = product.wedge(grad)
         for idx, coeff in self.terms.items():
-            det = Poly._raw(self.nvars, {})
-            for perm in permutations(range(k)):
-                prod = grads[0][idx[perm[0]]]
-                for s in range(1, k):
-                    if prod.is_zero():
-                        break
-                    prod = prod * grads[s][idx[perm[s]]]
-                if prod.is_zero():
-                    continue
-                det = det + prod.scale(_inversion_sign(perm))
-            result = result + det * coeff
+            value = product.terms.get(idx)
+            if value is not None:
+                result = result + value * coeff
         return result
 
 
@@ -423,9 +399,9 @@ def interior_product(field, omega: Form):
     ``ModuleChainElement``. A degree-0 field acts by multiplication, and the
     result is zero when q < k.
 
-    The implementation works directly on index tuples: contracting dx_I by
-    Dx_J keeps the terms with J contained in I and multiplies by the shuffle
-    sign of J inside I.
+    The implementation works directly on index tuples: Dx_J contracts dx_I
+    to zero unless J lies inside I, and then, writing dx_I = sign dx_J ^
+    dx_(I-J) by ``wedge_indices``, to sign dx_(I-J).
     """
     if isinstance(field, ModuleCochainElement):
         return ModuleChainElement(
@@ -446,12 +422,11 @@ def interior_product(field, omega: Form):
     out = {}
     for idx_j, a in field.terms.items():
         for idx_i, b in omega.terms.items():
-            sign = subset_sign(idx_j, idx_i)
-            if sign is None:
-                continue
             key = tuple(i for i in idx_i if i not in idx_j)
-            piece = (a * b).scale(sign)
-            _accumulate(out, key, piece)
+            if len(key) != q - k:
+                continue  # J is not contained in I
+            sign, _ = wedge_indices(idx_j, key)
+            _accumulate(out, key, (a * b).scale(sign))
     return Form._raw(omega.nvars, q - k, out)
 
 

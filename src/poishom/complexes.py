@@ -44,7 +44,8 @@ differential on the constant basis vector and sigma_p(b) one wedge or
 contraction; both are computed once per (kind, module, a, I) and kept on the
 structure, so every column is these tables shifted by alpha and the symbol
 of p scaled by alpha_p. The only sign rules are those of the object-level
-calculus.
+calculus: the two reference differentials, like the wedges and contractions,
+take every shuffle sign from ``calculus.wedge_indices``.
 
 Weight grading: weight(x_i) = weight(dx_i) = +1, weight(d/dx_i) = -1. When
 the bivector is homogeneous of coefficient degree d and every bracket entry
@@ -68,6 +69,7 @@ from .calculus import (
     MultiVector,
     _accumulate,
     interior_product,
+    wedge_indices,
 )
 from .errors import DimensionError, GradedModeError
 from .pmodule import PoissonModule, _require_flat, bracket_vector
@@ -89,7 +91,8 @@ def chain_differential(structure: PoissonStructure, module: PoissonModule,
 
     Component a contributes its Koszul boundary to e_a and its contraction
     with X_a, read straight off the bracket matrices: each term f dx_I and
-    each position t of i in I give (-1)^t f B_i[a][b] to e_b (x) dx_{I - i}.
+    each i in I, with dx_I = sign dx_i ^ dx_rest, give sign f B_i[a][b] to
+    e_b (x) dx_rest.
     """
     _check_pair(structure, module, element)
     n, r, q = element.nvars, element.rank, element.degree
@@ -104,10 +107,11 @@ def chain_differential(structure: PoissonStructure, module: PoissonModule,
         for idx, f in omega.terms.items():
             for t, i in enumerate(idx):
                 rest = idx[:t] + idx[t + 1:]
+                sign, _ = wedge_indices((i,), rest)
                 for b, entry in enumerate(module.brackets[i][a]):
                     if not entry.is_zero():
                         piece = f * entry
-                        _accumulate(out_terms[b], rest, piece if t % 2 == 0 else -piece)
+                        _accumulate(out_terms[b], rest, piece if sign > 0 else -piece)
     return ModuleChainElement([Form(n, q - 1, terms) for terms in out_terms], degree=q - 1)
 
 
@@ -115,11 +119,16 @@ def cochain_differential(structure: PoissonStructure, module: PoissonModule,
                          element: ModuleCochainElement) -> ModuleCochainElement:
     """Degree +1 differential of the cochain complex with coefficients.
 
-    Only the output tuples J that the support of X reaches are visited.
-    The first sum contributes to J = K + {j} for an index tuple K of X,
-    with X(x_K) read off the components; the second to J = rest + {p, q}
-    for a term pi_pq of the bivector, where rest is K minus one index
-    (X(pi_pq, x_rest) vanishes unless rest lies inside some K).
+    In wedge form the two sums of the module docstring are
+
+        sum_{K, j}    -Dx_j ^ {X(x_K), x_j}_W Dx_K,
+        sum_{pq, rest} -Dx_p ^ Dx_q ^ X(pi_pq, x_rest) Dx_rest,
+
+    over index tuples K of X and j, and over the terms pi_pq of the
+    bivector and tuples rest of k - 1 indices; X(x_K) is read off the
+    components, and X(pi_pq, x_rest) vanishes unless rest lies inside some
+    K, so only those are visited. Each target tuple and its sign come from
+    ``wedge_indices``, whose None drops the terms with a repeated index.
     """
     _check_pair(structure, module, element)
     n, r, k = element.nvars, element.rank, element.degree
@@ -130,29 +139,26 @@ def cochain_differential(structure: PoissonStructure, module: PoissonModule,
     support = sorted({idx for comp in element.components for idx in comp.terms})
     out_terms: list[dict] = [{} for _ in range(r)]
 
-    def add(tup, values, sign):
+    def add(merged, values):
+        # a term -Dx_left ^ (values) Dx_right, with merged = wedge_indices(left, right)
+        sign, tup = merged
         for b, piece in enumerate(values):
             if not piece.is_zero():
-                _accumulate(out_terms[b], tup, piece if sign > 0 else -piece)
+                _accumulate(out_terms[b], tup, -piece if sign > 0 else piece)
 
     for idx in support:
         value = tuple(comp.terms.get(idx, zero) for comp in element.components)
         for j in range(n):
-            if j in idx:
-                continue
-            tup = tuple(sorted(idx + (j,)))
-            sign = -1 if tup.index(j) % 2 == 0 else 1  # (-1)**(t+1) for 0-based t
-            add(tup, bracket_vector(module, structure, value, coords[j]), sign)
+            merged = wedge_indices((j,), idx)
+            if merged is not None:
+                add(merged, bracket_vector(module, structure, value, coords[j]))
     rests = sorted({idx[:i] + idx[i + 1:] for idx in support for i in range(k)})
     for rest in rests:
         args = [coords[u] for u in rest]
-        for (p, q), pi_pq in structure.bivector.terms.items():
-            if p in rest or q in rest:
-                continue
-            tup = tuple(sorted(rest + (p, q)))
-            s, t = tup.index(p), tup.index(q)
-            sign = 1 if (s + t) % 2 == 0 else -1  # (-1)**((s+1)+(t+1))
-            add(tup, element.evaluate(pi_pq, *args), sign)
+        for pq, pi_pq in structure.bivector.terms.items():
+            merged = wedge_indices(pq, rest)
+            if merged is not None:
+                add(merged, element.evaluate(pi_pq, *args))
     return ModuleCochainElement(
         [MultiVector(n, k + 1, terms) for terms in out_terms], degree=k + 1
     )

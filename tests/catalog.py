@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 from poishom import (
     Form,
@@ -250,6 +250,31 @@ def decomposable(f0: Poly, functions) -> Form:
     return acc.scale(f0)
 
 
+def evaluate_oracle(field, *functions):
+    """X(df_1, ..., df_k) by the Leibniz determinant.
+
+    Each term c_J Dx_J of X contributes c_J det(df_s/dx_{j_t}), every
+    permutation signed by its own inversion count, so the result is
+    independent of the wedge sign that ``MultiVector.evaluate`` reads.
+    Module-valued fields give the tuple of their components' values.
+    """
+    if isinstance(field, ModuleCochainElement):
+        return tuple(evaluate_oracle(c, *functions) for c in field.components)
+    k = field.degree
+    assert len(functions) == k
+    total = Poly.zero(field.nvars)
+    for idx, coeff in field.terms.items():
+        for perm in permutations(range(k)):
+            inversions = sum(
+                1 for a in range(k) for b in range(a + 1, k) if perm[a] > perm[b]
+            )
+            prod = coeff.scale(-1 if inversions % 2 else 1)
+            for s in range(k):
+                prod = prod * functions[s].partial(idx[perm[s]])
+            total = total + prod
+    return total
+
+
 def shuffle_interior_oracle(field, f0, functions):
     """Paper-style shuffle formula for iota on a decomposable form.
 
@@ -285,10 +310,10 @@ def shuffle_interior_oracle(field, f0, functions):
         args = [functions[t] for t in chosen]
         tail = decomposable(f0, [functions[t] for t in remaining]).scale(sign)
         if module_valued:
-            values = field.evaluate(*args)
+            values = evaluate_oracle(field, *args)
             parts = [acc + tail.scale(v) for acc, v in zip(parts, values)]
         else:
-            parts[0] = parts[0] + tail.scale(field.evaluate(*args))
+            parts[0] = parts[0] + tail.scale(evaluate_oracle(field, *args))
     if module_valued:
         return ModuleChainElement(parts, degree=q - k)
     return parts[0]
@@ -340,9 +365,10 @@ def cochain_differential_oracle(structure, module, element):
     """The cochain differential evaluated on every (k+1)-subset of coordinates.
 
     The defining formula, applied by brute force: for each coordinate tuple
-    J, every term of both sums is computed with ``evaluate`` and the
+    J, every term of both sums is computed with ``evaluate_oracle`` and the
     structure bracket, whether or not the support of X can reach J.
-    Independent of the support-driven loops of ``cochain_differential``.
+    Independent of the support-driven loops of ``cochain_differential`` and
+    of its wedge signs.
     """
     _check_pair(structure, module, element)
     n, r, k = element.nvars, element.rank, element.degree
@@ -354,7 +380,7 @@ def cochain_differential_oracle(structure, module, element):
         value = [Poly.zero(n) for _ in range(r)]
         for t, i in enumerate(tup):
             rest = [coords[j] for j in tup if j != i]
-            evaluated = element.evaluate(*rest)
+            evaluated = evaluate_oracle(element, *rest)
             bracketed = bracket_vector(module, structure, evaluated, coords[i])
             sign = -1 if t % 2 == 0 else 1  # (-1)**(t+1) for 0-based t
             for b in range(r):
@@ -363,7 +389,7 @@ def cochain_differential_oracle(structure, module, element):
             for t in range(s + 1, k + 1):
                 first = structure.bracket(coords[tup[s]], coords[tup[t]])
                 rest = [coords[tup[u]] for u in range(k + 1) if u not in (s, t)]
-                evaluated = element.evaluate(first, *rest)
+                evaluated = evaluate_oracle(element, first, *rest)
                 sign = 1 if (s + t) % 2 == 0 else -1  # (-1)**((s+1)+(t+1))
                 for b in range(r):
                     value[b] = value[b] + evaluated[b].scale(sign)

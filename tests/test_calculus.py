@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -11,9 +12,11 @@ from poishom import (
     Poly,
     interior_product,
 )
+from poishom.calculus import wedge_indices
 
 from catalog import (
     decomposable,
+    evaluate_oracle,
     p2,
     rand_chain_element,
     rand_cochain_element,
@@ -24,12 +27,55 @@ from catalog import (
 )
 
 
+SUBSETS5 = [idx for k in range(6) for idx in combinations(range(5), k)]
+
+
 def dx(i, n=2):
     return Form(n, 1, {(i,): Poly.constant(n, 1)})
 
 
 def Dx(i, n=2):
     return MultiVector(n, 1, {(i,): Poly.constant(n, 1)})
+
+
+# ----------------------------------------------------------------------
+# the shuffle-sign rule
+
+
+def test_wedge_indices_is_the_bubble_sort_parity():
+    # every pair of increasing subsets of range(5): disjoint pairs merge with
+    # the parity of the swaps a bubble sort of left + right makes
+    for left in SUBSETS5:
+        for right in SUBSETS5:
+            got = wedge_indices(left, right)
+            if set(left) & set(right):
+                assert got is None
+                continue
+            seq, swaps = list(left + right), 0
+            for end in range(len(seq) - 1, 0, -1):
+                for t in range(end):
+                    if seq[t] > seq[t + 1]:
+                        seq[t], seq[t + 1] = seq[t + 1], seq[t]
+                        swaps += 1
+            assert got == ((-1) ** swaps, tuple(seq))
+
+
+def test_interior_product_sign_is_the_subset_shuffle_sign():
+    # Dx_J contracts dx_I to (-1)**sum(p_t - t) dx_(I-J), p_t the positions
+    # of the entries of J inside I, and to zero unless J lies inside I
+    n = 5
+    one = Poly.constant(n, 1)
+    for idx_i in SUBSETS5:
+        omega = Form(n, len(idx_i), {idx_i: one})
+        for idx_j in SUBSETS5:
+            got = interior_product(MultiVector(n, len(idx_j), {idx_j: one}), omega)
+            if not set(idx_j) <= set(idx_i):
+                assert got.is_zero()
+                continue
+            positions = [idx_i.index(j) for j in idx_j]
+            sign = (-1) ** sum(p - t for t, p in enumerate(positions))
+            rest = tuple(i for i in idx_i if i not in idx_j)
+            assert got == Form(n, len(rest), {rest: one.scale(sign)})
 
 
 # ----------------------------------------------------------------------
@@ -224,6 +270,32 @@ def test_evaluate_skew_and_derivation_in_each_slot():
         f, g, h = (rand_poly(rng, 3, 2, 2) for _ in range(3))
         assert X.evaluate(f, g) == -X.evaluate(g, f)
         assert X.evaluate(f * g, h) == f * X.evaluate(g, h) + g * X.evaluate(f, h)
+
+
+def test_evaluate_matches_leibniz_oracle():
+    # evaluate takes its sign from the wedge df_1 ^ ... ^ df_k; the oracle
+    # signs each permutation of the Leibniz determinant by its own parity.
+    # Each argument is a distinct coordinate plus noise, so that most
+    # Jacobians are nonzero; the second and third trials put a zero and a
+    # constant among the arguments.
+    rng = random.Random(23)
+    nonzero = 0
+    for n in range(1, 5):
+        for k in range(n + 1):
+            for trial in range(10):
+                fs = [Poly.variable(n, i) + rand_poly(rng, n, 3, 3)
+                      for i in rng.sample(range(n), k)]
+                if k and trial == 1:
+                    fs[rng.randrange(k)] = Poly.zero(n)
+                if k and trial == 2:
+                    fs[rng.randrange(k)] = Poly.constant(n, rng.randint(1, 3))
+                field = rand_multivector(rng, n, k, max_degree=2, terms=3)
+                got = field.evaluate(*fs)
+                assert got == evaluate_oracle(field, *fs)
+                nonzero += k >= 2 and not got.is_zero()
+                element = rand_cochain_element(rng, n, k, 2, max_degree=2, terms=3)
+                assert element.evaluate(*fs) == evaluate_oracle(element, *fs)
+    assert nonzero >= 25  # values of degree >= 2 that carry a sign
 
 
 def test_evaluate_agrees_with_full_interior_contraction():
