@@ -260,7 +260,7 @@ class MultiVector(_Alternating):
         if self.degree == 0:
             return self.coefficient(())
         result = Poly._raw(n, {})
-        if not self.terms:
+        if not self.terms or not all(functions):  # a zero argument has df = 0
             return result
         grads = [Form._raw(n, 1, {(i,): p for i in range(n) if (p := f.partial(i))})
                  for f in functions]

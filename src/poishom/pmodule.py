@@ -9,6 +9,13 @@ The bracket extends to arbitrary elements and functions by the two Leibniz
 axioms; the remaining axiom (W is a right Lie module over the bracket) is
 the flatness condition, checked on coordinate pairs.
 
+Read as vector fields, the rows of the data are the W-valued fields
+
+    X_a = {e_a,-}_W = sum_{i,b} B_i[a][b] d/dx_i e_b,
+
+one per basis section, built once per module. The module bracket and the
+contraction term of the chain differential read B only through them.
+
 The same data read with opposite sign is a flat contravariant connection:
 nabla_{dx_i}(e_a) = sum_b Gamma_i[a][b] e_b with Gamma_i = -B_i.
 """
@@ -17,7 +24,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .calculus import Form, MultiVector, interior_product
+from .calculus import Form, ModuleCochainElement, MultiVector, interior_product
 from .errors import DimensionError, FlatnessError, PoishomError, PoissonFieldError
 from .poisson import PoissonStructure, VolumeForm
 from .poly import Poly
@@ -49,7 +56,7 @@ class PoissonModule:
     Equality and hashing use the bracket data alone.
     """
 
-    __slots__ = ("nvars", "rank", "brackets", "structure", "_hash")
+    __slots__ = ("nvars", "rank", "brackets", "structure", "_hash", "_fields")
 
     def __init__(self, nvars: int, rank: int, brackets, *, structure=None):
         if rank < 1:
@@ -60,6 +67,10 @@ class PoissonModule:
         object.__setattr__(self, "brackets", brackets)
         # immutable, so hashed once: the column memo hashes it per column
         object.__setattr__(self, "_hash", hash(("PoissonModule", nvars, rank, brackets)))
+        # X_1..X_r of the module docstring, degree-1 W-valued multiderivations
+        object.__setattr__(self, "_fields", tuple(ModuleCochainElement(
+            [MultiVector(nvars, 1, [((i,), m[a][b]) for i, m in enumerate(brackets)])
+             for b in range(rank)], degree=1) for a in range(rank)))
         if structure is not None:
             witness = flatness_defect(self, structure)
             if witness is not None:
@@ -113,24 +124,15 @@ class PoissonModule:
 
 
 def bracket_vector(module: PoissonModule, structure: PoissonStructure, vec, f: Poly):
-    """{w, f}_W on a plain coefficient vector; the Leibniz extension of B.
+    """{w, f}_W on a plain coefficient vector w = sum_b g_b e_b.
 
-    Component b of the result is {g_b, f} + sum_a g_a sum_i df/dx_i B_i[a][b].
+    By the two Leibniz axioms it is ({g_b, f})_b + sum_a g_a X_a(f), with
+    X_a(f) = {e_a, f}_W the value of the module field X_a.
     """
     out = [structure.bracket(g, f) for g in vec]
-    for i in range(module.nvars):
-        df_i = f.partial(i)
-        if df_i.is_zero():
-            continue
-        matrix = module.brackets[i]
-        for a, g_a in enumerate(vec):
-            if g_a.is_zero():
-                continue
-            scale = g_a * df_i
-            for b in range(module.rank):
-                entry = matrix[a][b]
-                if not entry.is_zero():
-                    out[b] = out[b] + scale * entry
+    for g_a, field in zip(vec, module._fields):
+        if g_a:
+            out = [acc + g_a * value for acc, value in zip(out, field.evaluate(f))]
     return tuple(out)
 
 

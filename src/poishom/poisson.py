@@ -4,7 +4,7 @@ Sign conventions, fixed once and pinned by tests because the duality
 theorem depends on them:
 
 * the bracket is {f,g} = pi(df,dg);
-* the Hamiltonian field of f is X_f = -pi#(df), so X_f(g) = {g,f};
+* the Hamiltonian field of f is X_f = sum_i {x_i,f} d/dx_i, so X_f(g) = {g,f};
 * the degree -1 differential on forms is bnd = iota_pi d - d iota_pi;
 * the modular field solves bnd(mu) = iota_phi(mu).
 """
@@ -95,38 +95,13 @@ class PoissonStructure:
     # ------------------------------------------------------------------
 
     def bracket(self, f: Poly, g: Poly) -> Poly:
-        """{f,g} = pi(df,dg) = sum over components p_ij (f_i g_j - f_j g_i)."""
-        zero = out = Poly._raw(self.nvars, {})
-        if f.is_zero() or g.is_zero():
-            return out
-        used = {i for pair in self.bivector.terms for i in pair}
-        df, dg = ({i: h.partial(i) for i in used} for h in (f, g))  # each partial once
-        for (i, j), p in self.bivector.terms.items():
-            piece = df[i] * dg[j] if df[i] and dg[j] else zero
-            if df[j] and dg[i]:
-                piece = piece - df[j] * dg[i]
-            if piece:
-                out = out + p * piece
-        return out
-
-    # ------------------------------------------------------------------
-
-    def sharp(self, alpha: Form) -> MultiVector:
-        """The anchor pi#: 1-forms to vector fields, pi#(a)(dg) = pi(a,dg)."""
-        if alpha.degree != 1 and not alpha.is_zero():
-            raise DimensionError("sharp expects a 1-form")
-        if alpha.nvars != self.nvars:
-            raise DimensionError("mismatched variable counts")
-        terms = []  # the constructor sums repeated indices and drops zeros
-        for (i, j), p in self.bivector.terms.items():
-            terms.append(((j,), p * alpha.coefficient((i,))))
-            terms.append(((i,), -(p * alpha.coefficient((j,)))))
-        return MultiVector(self.nvars, 1, terms)
+        """{f,g} = pi(df,dg): the bivector evaluated on f and g."""
+        return self.bivector.evaluate(f, g)
 
     def hamiltonian(self, f: Poly) -> MultiVector:
-        """X_f = -pi#(df); as a derivation X_f(g) = {g,f}."""
-        df = Form(self.nvars, 1, {(i,): f.partial(i) for i in range(self.nvars)})
-        return -self.sharp(df)
+        """X_f = sum_i {x_i,f} Dx_i; as a derivation X_f(g) = {g,f}."""
+        return MultiVector(self.nvars, 1, {(i,): self.bracket(x, f)
+                                           for i, x in enumerate(self.coordinates)})
 
     # ------------------------------------------------------------------
 

@@ -23,7 +23,6 @@ from poishom import (
     elw_connection,
 )
 from poishom.complexes import _check_pair
-from poishom.pmodule import bracket_vector
 
 XY = ["x", "y"]
 XYZ = ["x", "y", "z"]
@@ -123,9 +122,56 @@ def so3_adjoint(structure) -> PoissonModule:
     def epsilon(i, a, b):
         return (i - a) * (a - b) * (b - i) // 2
 
-    return PoissonModule(3, 3, tuple(
-        tuple(tuple(Poly.constant(3, -epsilon(i, a, b)) for b in range(3)) for a in range(3))
-        for i in range(3)), structure=structure)
+    return representation_module(structure, [
+        [[-epsilon(i, a, b) for b in range(3)] for a in range(3)] for i in range(3)
+    ])
+
+
+# ----------------------------------------------------------------------
+# Lie-Poisson structures and representation modules
+
+
+def lie_poisson(constants) -> PoissonStructure:
+    """The Lie-Poisson structure {x_i,x_j} = sum_k c[i][j][k] x_k on g*, for
+    the structure constants c of a Lie algebra g with basis x_1..x_n."""
+    n = len(constants)
+    return PoissonStructure(bivector(n, {
+        (i, j): Poly(n, {tuple(int(t == k) for t in range(n)): c
+                         for k, c in enumerate(constants[i][j]) if c})
+        for i, j in combinations(range(n), 2)}))
+
+
+def adjoint(constants):
+    """The matrices ad(x_i): entry [a][b] is the x_a-coefficient of [x_i, x_b]."""
+    n = len(constants)
+    return [[[constants[i][b][a] for b in range(n)] for a in range(n)] for i in range(n)]
+
+
+def representation_module(structure, matrices) -> PoissonModule:
+    """The module with constant brackets B_i = matrices[i], through the
+    flatness gate."""
+    n, r = structure.nvars, len(matrices[0])
+    return PoissonModule(n, r, tuple(
+        tuple(tuple(Poly.constant(n, c) for c in row) for row in m) for m in matrices
+    ), structure=structure)
+
+
+def bianchi5_rank2(structure) -> PoissonModule:
+    """A two-dimensional representation of the Bianchi V algebra: B_x = E_12,
+    B_y = 2 E_12, B_z = diag(1, 0). Constant and not symmetric, over a
+    structure whose modular field is nonzero."""
+    return representation_module(structure, [
+        [[0, 1], [0, 0]], [[0, 2], [0, 0]], [[1, 0], [0, 0]],
+    ])
+
+
+def sl2_constants():
+    """sl(2) in the basis (e, f, h): [e,f] = h, [h,e] = 2e, [h,f] = -2f."""
+    c = [[[0] * 3 for _ in range(3)] for _ in range(3)]
+    for i, j, value in [(0, 1, (0, 0, 1)), (0, 2, (-2, 0, 0)), (1, 2, (0, 2, 0))]:
+        c[i][j] = list(value)
+        c[j][i] = [-v for v in value]
+    return c
 
 
 def chain_catalog():
@@ -235,43 +281,50 @@ def eval_poly(poly: Poly, point) -> Fraction:
     return total
 
 
-def differential(poly: Poly) -> Form:
-    """df as a 1-form."""
-    n = poly.nvars
-    return Form(n, 1, {(i,): poly.partial(i) for i in range(n)})
+def leibniz_determinant(nvars, functions, idx) -> Poly:
+    """det(df_s/dx_{idx_t}) over s, t < k = len(idx), every permutation
+    signed by its own inversion count; 1 for k = 0."""
+    k = len(idx)
+    assert len(functions) == k
+    total = Poly.zero(nvars)
+    for perm in permutations(range(k)):
+        inversions = sum(
+            1 for a in range(k) for b in range(a + 1, k) if perm[a] > perm[b]
+        )
+        factors = [functions[s].partial(idx[perm[s]]) for s in range(k)]
+        if all(factors):
+            prod = Poly.constant(nvars, -1 if inversions % 2 else 1)
+            for factor in factors:
+                prod = prod * factor
+            total = total + prod
+    return total
 
 
 def decomposable(f0: Poly, functions) -> Form:
-    """f0 df_1 ^ ... ^ df_r."""
-    n = f0.nvars
-    acc = Form(n, 0, {(): Poly.constant(n, 1)})
-    for f in functions:
-        acc = acc.wedge(differential(f))
-    return acc.scale(f0)
+    """f0 df_1 ^ ... ^ df_r, its coefficient at I the Leibniz determinant
+    det(df_s/dx_{I_t}) times f0, so independent of ``Form.wedge`` and the
+    sign rule of the calculus."""
+    n, r = f0.nvars, len(functions)
+    if r > n:
+        return Form.zero(n, r)
+    return Form(n, r, {idx: f0 * leibniz_determinant(n, functions, idx)
+                       for idx in combinations(range(n), r)})
 
 
 def evaluate_oracle(field, *functions):
     """X(df_1, ..., df_k) by the Leibniz determinant.
 
-    Each term c_J Dx_J of X contributes c_J det(df_s/dx_{j_t}), every
-    permutation signed by its own inversion count, so the result is
-    independent of the wedge sign that ``MultiVector.evaluate`` reads.
-    Module-valued fields give the tuple of their components' values.
+    Each term c_J Dx_J of X contributes c_J det(df_s/dx_{j_t}), so the
+    result is independent of the wedge sign that ``MultiVector.evaluate``
+    reads. Module-valued fields give the tuple of their components' values.
     """
     if isinstance(field, ModuleCochainElement):
         return tuple(evaluate_oracle(c, *functions) for c in field.components)
-    k = field.degree
-    assert len(functions) == k
-    total = Poly.zero(field.nvars)
+    assert len(functions) == field.degree
+    n = field.nvars
+    total = Poly.zero(n)
     for idx, coeff in field.terms.items():
-        for perm in permutations(range(k)):
-            inversions = sum(
-                1 for a in range(k) for b in range(a + 1, k) if perm[a] > perm[b]
-            )
-            prod = coeff.scale(-1 if inversions % 2 else 1)
-            for s in range(k):
-                prod = prod * functions[s].partial(idx[perm[s]])
-            total = total + prod
+        total = total + coeff * leibniz_determinant(n, functions, idx)
     return total
 
 
@@ -324,15 +377,16 @@ def two_sum_chain_oracle(structure, module, wvec, f0, functions):
 
     Input is the decomposable w (x) f0 df_1 ^ ... ^ df_r with w given by the
     coefficient vector ``wvec``; independent of the Koszul-plus-contraction
-    decomposition used by the implementation.
+    decomposition used by the implementation and of its sign rule, since
+    every decomposable and bracket comes from the oracles here.
     """
     r = len(functions)
     n = structure.nvars
     out = ModuleChainElement.zero(module.rank, n, max(r - 1, 0))
     for i in range(1, r + 1):
         rest = [functions[t] for t in range(r) if t != i - 1]
-        bracketed = bracket_vector(
-            module, structure, tuple(g * f0 for g in wvec), functions[i - 1]
+        bracketed = module_bracket_oracle(
+            structure, module, tuple(g * f0 for g in wvec), functions[i - 1]
         )
         tail = decomposable(Poly.constant(n, 1), rest)
         sign = (-1) ** (i - 1)
@@ -341,10 +395,9 @@ def two_sum_chain_oracle(structure, module, wvec, f0, functions):
         )
     for i in range(1, r + 1):
         for j in range(i + 1, r + 1):
-            br = structure.bracket(functions[i - 1], functions[j - 1])
+            br = bracket_oracle(structure, functions[i - 1], functions[j - 1])
             rest = [functions[t] for t in range(r) if t not in (i - 1, j - 1)]
-            tail = differential(br).wedge(decomposable(Poly.constant(n, 1), rest))
-            tail = tail.scale(f0).scale((-1) ** (i + j))
+            tail = decomposable(f0, [br, *rest]).scale((-1) ** (i + j))
             out = out + ModuleChainElement(
                 [tail.scale(g) for g in wvec], degree=max(r - 1, 0)
             )
@@ -352,21 +405,43 @@ def two_sum_chain_oracle(structure, module, wvec, f0, functions):
 
 
 def bracket_oracle(structure, f, g):
-    """{f,g} with four partials per bivector term, the direct formula."""
-    out = Poly.zero(structure.nvars)
+    """{f,g} = sum of p_ij (f_i g_j - f_j g_i) over the terms p_ij Dx_i^Dx_j
+    of pi: the direct formula, with no wedge and no sign rule."""
+    n = structure.nvars
+    out = Poly.zero(n)
+    if f.is_zero() or g.is_zero():
+        return out
+    df, dg = ([h.partial(i) for i in range(n)] for h in (f, g))
     for (i, j), p in structure.bivector.terms.items():
-        piece = f.partial(i) * g.partial(j) - f.partial(j) * g.partial(i)
+        piece = df[i] * dg[j] - df[j] * dg[i]
         if not piece.is_zero():
             out = out + p * piece
     return out
+
+
+def module_bracket_oracle(structure, module, vec, f):
+    """{w, f}_W by its defining formula, read straight off the bracket
+    matrices: component b is {g_b, f} + sum_a g_a sum_i df/dx_i B_i[a][b],
+    with ``bracket_oracle`` for the scalar bracket."""
+    df = [f.partial(i) for i in range(structure.nvars)]
+    out = []
+    for b in range(module.rank):
+        value = bracket_oracle(structure, vec[b], f)
+        for a, g_a in enumerate(vec):
+            for df_i, matrix in zip(df, module.brackets):
+                if g_a and df_i and matrix[a][b]:
+                    value = value + g_a * df_i * matrix[a][b]
+        out.append(value)
+    return tuple(out)
 
 
 def cochain_differential_oracle(structure, module, element):
     """The cochain differential evaluated on every (k+1)-subset of coordinates.
 
     The defining formula, applied by brute force: for each coordinate tuple
-    J, every term of both sums is computed with ``evaluate_oracle`` and the
-    structure bracket, whether or not the support of X can reach J.
+    J, every term of both sums is computed with ``evaluate_oracle``,
+    ``bracket_oracle`` and ``module_bracket_oracle``, whether or not the
+    support of X can reach J.
     Independent of the support-driven loops of ``cochain_differential`` and
     of its wedge signs.
     """
@@ -381,13 +456,13 @@ def cochain_differential_oracle(structure, module, element):
         for t, i in enumerate(tup):
             rest = [coords[j] for j in tup if j != i]
             evaluated = evaluate_oracle(element, *rest)
-            bracketed = bracket_vector(module, structure, evaluated, coords[i])
+            bracketed = module_bracket_oracle(structure, module, evaluated, coords[i])
             sign = -1 if t % 2 == 0 else 1  # (-1)**(t+1) for 0-based t
             for b in range(r):
                 value[b] = value[b] + bracketed[b].scale(sign)
         for s in range(k + 1):
             for t in range(s + 1, k + 1):
-                first = structure.bracket(coords[tup[s]], coords[tup[t]])
+                first = bracket_oracle(structure, coords[tup[s]], coords[tup[t]])
                 rest = [coords[tup[u]] for u in range(k + 1) if u not in (s, t)]
                 evaluated = evaluate_oracle(element, first, *rest)
                 sign = 1 if (s + t) % 2 == 0 else -1  # (-1)**((s+1)+(t+1))

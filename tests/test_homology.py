@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from poishom import (
+    FlatnessError,
     Form,
     ModuleChainElement,
     MultiVector,
@@ -32,14 +33,18 @@ from poishom.calculus import ModuleCochainElement
 
 from catalog import (
     XYZ,
+    adjoint,
     bianchi5,
     generic2,
     graded_catalog,
     heisenberg3,
+    lie_poisson,
     p2,
     quadratic2,
     quadratic_rank2,
     rank_oracle,
+    representation_module,
+    sl2_constants,
     so3,
     so3_adjoint,
     symplectic2,
@@ -247,6 +252,40 @@ def test_so3_adjoint_module_dimensions():
         (k, w): b[k] * int(w + k >= 1 and (w + k) % 2 == 1)
         for k in range(4) for w in range(-k, 6)
     }
+    report = verify_duality(P, W, VolumeForm(), max_weight=3, trials=3)
+    assert report.ok() and report.diagram_total == 1131
+
+
+def test_sl2_adjoint_and_dual_module_dimensions():
+    """sl(2) with B = ad read as coefficient matrices, and its dual -ad^T:
+    non-commuting constant brackets whose orientation the flatness gate
+    fixes, accepting a representation (ad, -ad^T) and refusing ad^T and
+    -ad. Both modules are isomorphic to the adjoint V_1 (sl(2) is
+    semisimple), so as for so(3), dim HP^k_w = b_k [w + k >= 1 and w + k
+    odd] with b = (1, 0, 0, 1) (Chevalley and Eilenberg, Trans. AMS 63,
+    1948). The builders reproduce so3() and so3_adjoint from epsilon."""
+    epsilon = [[[(i - j) * (j - k) * (k - i) // 2 for k in range(3)] for j in range(3)]
+               for i in range(3)]
+    so3_star = lie_poisson(epsilon)
+    assert so3_star == so3()
+    assert representation_module(so3_star, [[[-v for v in row] for row in zip(*m)]
+                                            for m in adjoint(epsilon)]) == so3_adjoint(so3())
+    P = lie_poisson(sl2_constants())
+    ad = adjoint(sl2_constants())
+    transposed = [[list(row) for row in zip(*m)] for m in ad]
+
+    def negated(mats):
+        return [[[-v for v in row] for row in m] for m in mats]
+
+    for refused in (transposed, negated(ad)):
+        with pytest.raises(FlatnessError):
+            representation_module(P, refused)
+    b = (1, 0, 0, 1)
+    expected = {(k, w): b[k] * int(w + k >= 1 and (w + k) % 2 == 1)
+                for k in range(4) for w in range(-k, 5)}
+    for mats in (ad, negated(transposed)):
+        W = representation_module(P, mats)
+        assert betti_table(P, W, "cohomology", 4).entries == expected
     report = verify_duality(P, W, VolumeForm(), max_weight=3, trials=3)
     assert report.ok() and report.diagram_total == 1131
 

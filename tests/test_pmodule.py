@@ -8,6 +8,7 @@ from poishom import (
     PoishomError,
     PoissonFieldError,
     PoissonModule,
+    Poly,
     VolumeForm,
     elw_connection,
     flatness_defect,
@@ -16,13 +17,17 @@ from poishom import (
 from poishom.pmodule import bracket_vector
 
 from catalog import (
+    bianchi5,
+    bianchi5_rank2,
     generic2,
+    module_bracket_oracle,
     p2,
     p3,
     quadratic2,
     quadratic_rank2,
     rand_poly,
     so3,
+    so3_adjoint,
     so3_rank2,
     symplectic2,
     symplectic_rank2,
@@ -59,6 +64,29 @@ def test_bracket_leibniz_in_function_slot():
     P = symplectic2()
     W = rank1(P, "x", "0")
     assert bracket_vector(W, P, (p2("1"),), p2("x^2")) == (p2("2*x^2"),)
+
+
+@pytest.mark.parametrize("twisted", [False, True], ids=["plain", "twisted"])
+@pytest.mark.parametrize("make, rank_module", [
+    (so3, so3_adjoint), (bianchi5, bianchi5_rank2), (symplectic2, symplectic_rank2),
+], ids=["so3_adjoint", "bianchi5_rank2", "symplectic_rank2"])
+def test_bracket_vector_matches_defining_formula(make, rank_module, twisted):
+    # {w,f}_W against {g_b,f} + sum_a g_a sum_i df/dx_i B_i[a][b] read off the
+    # matrices; the modules are not symmetric, so a transposed field fails
+    P = make()
+    W = rank_module(P)
+    if twisted:
+        W = twist(W, P, -P.modular_vector_field(VolumeForm()))
+    n, r = P.nvars, W.rank
+    for a in range(r):
+        e_a = tuple(Poly.constant(n, int(b == a)) for b in range(r))
+        for i, x_i in enumerate(P.coordinates):
+            assert bracket_vector(W, P, e_a, x_i) == W.brackets[i][a]
+    rng = random.Random(23)
+    for _ in range(30):
+        vec = tuple(rand_poly(rng, n, 3, 2) for _ in range(r))
+        f = rand_poly(rng, n, 3, 2)
+        assert bracket_vector(W, P, vec, f) == module_bracket_oracle(P, W, vec, f)
 
 
 def test_bracket_axioms_random():

@@ -18,7 +18,6 @@ from poishom import (
 from catalog import (
     bianchi5,
     bracket_oracle,
-    differential,
     generic2,
     heisenberg3,
     nonjacobi3,
@@ -114,7 +113,7 @@ def test_jacobi_holds_on_random_functions_when_verified():
 
 
 # ----------------------------------------------------------------------
-# sharp / Hamiltonian
+# Hamiltonian fields
 
 
 def test_hamiltonian_constant_symplectic():
@@ -127,18 +126,22 @@ def test_hamiltonian_quadratic():
     assert quadratic2().hamiltonian(p2("x")) == field2("0", "-x*y")
 
 
-def test_sharp_pairing_identity():
+@pytest.mark.parametrize(
+    "make", [symplectic2, quadratic2, generic2, zero2, so3, heisenberg3, bianchi5]
+)
+def test_hamiltonian_components_are_coordinate_brackets(make):
+    # X_f(g) = {g,f} and (X_f)_i = {x_i,f}, both against the direct formula
+    P = make()
+    n = P.nvars
     rng = random.Random(7)
-    for P in (quadratic2(), so3()):
-        n = P.nvars
-        for _ in range(40):
-            alpha = rand_form(rng, n, 1, max_degree=2, terms=2)
-            g = rand_poly(rng, n, 2, 2)
-            dg = differential(g)
-            # pi#(alpha)(dg) = pi(alpha, dg), via full contractions
-            lhs = P.sharp(alpha).evaluate(g)
-            rhs = interior_product(P.bivector, alpha.wedge(dg)).coefficient(())
-            assert lhs == rhs
+    for _ in range(25):
+        f, g = rand_poly(rng, n, 3, 2), rand_poly(rng, n, 3, 2)
+        X_f = P.hamiltonian(f)
+        assert X_f.degree == 1
+        assert X_f.evaluate(g) == bracket_oracle(P, g, f)
+        for i in range(n):
+            x_i = Poly.variable(n, i)
+            assert X_f.coefficient((i,)) == bracket_oracle(P, x_i, f)
 
 
 def test_hamiltonian_derivation_is_right_bracket():
