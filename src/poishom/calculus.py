@@ -16,11 +16,10 @@ dx_I ^ dx_J = sign dx_(I+J). Wedge products and d use it directly,
 ``interior_product`` contracts dx_I = sign dx_J ^ dx_(I-J) by Dx_J, and
 ``MultiVector.evaluate`` pairs X with the wedge df_1 ^ ... ^ df_k.
 
-Degree bookkeeping: operations that would land outside 0..n (contracting
-more than is available, differentiating a top form) return a canonical zero
-element whose ``degree`` is clamped into range. Addition treats a zero
-element as compatible with any degree, so such results flow through sums
-without special-casing by the caller.
+Degrees are honest: every element keeps the degree its operation gives it,
+also outside 0..n (d of a top form has degree n+1, a contraction by more
+than the form carries has degree q-k < 0). No index tuple has such a
+degree, so the element is zero there, and sums check degrees as usual.
 """
 
 from __future__ import annotations
@@ -65,8 +64,6 @@ class _Alternating:
     def __init__(self, nvars: int, degree: int, terms: Mapping | Iterable = ()):
         if nvars < 1:
             raise DimensionError("nvars must be a positive integer")
-        if not 0 <= degree <= nvars:
-            raise DimensionError(f"degree {degree} out of range 0..{nvars}")
         items = terms.items() if isinstance(terms, Mapping) else terms
         canon = {}
         for idx, poly in items:
@@ -102,8 +99,8 @@ class _Alternating:
 
     @classmethod
     def zero(cls, nvars: int, degree: int):
-        """Canonical zero element; the degree is clamped into 0..nvars."""
-        return cls(nvars, min(max(degree, 0), nvars))
+        """The zero element of the given degree, which may lie outside 0..nvars."""
+        return cls(nvars, degree)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -122,10 +119,6 @@ class _Alternating:
 
     def __add__(self, other):
         self._check_addable(other)
-        if self.is_zero():
-            return other
-        if other.is_zero():
-            return self
         if self.degree != other.degree:
             raise DimensionError(f"cannot add degrees {self.degree} and {other.degree}")
         out = dict(self.terms)
@@ -160,8 +153,6 @@ class _Alternating:
         """Exterior product with another element of the same kind."""
         self._check_addable(other)
         total = self.degree + other.degree
-        if total > self.nvars:
-            return type(self).zero(self.nvars, total)
         out = {}
         for i1, p1 in self.terms.items():
             for i2, p2 in other.terms.items():
@@ -176,15 +167,9 @@ class _Alternating:
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):
             return NotImplemented
-        if self.nvars != other.nvars:
-            return False
-        if self.is_zero() and other.is_zero():
-            return True  # clamped zeros of different degree are the same element
-        return self.degree == other.degree and self.terms == other.terms
+        return (self.nvars, self.degree, self.terms) == (other.nvars, other.degree, other.terms)
 
     def __hash__(self):
-        if self.is_zero():
-            return hash((type(self).__name__, self.nvars))
         return hash(
             (type(self).__name__, self.nvars, self.degree, frozenset(self.terms.items()))
         )
@@ -223,21 +208,18 @@ class Form(_Alternating):
     _basis_symbol = "dx"
 
     def d(self) -> "Form":
-        """Exterior derivative; a top-degree input yields the clamped zero."""
-        if self.degree >= self.nvars:
-            return Form.zero(self.nvars, self.degree + 1)
+        """Exterior derivative, of degree q+1; zero of degree n+1 on a top form."""
         out = {}
         for idx, poly in self.terms.items():
             for i in range(self.nvars):
-                dp = poly.partial(i)
-                if dp.is_zero():
-                    continue
                 merged = wedge_indices((i,), idx)
                 if merged is None:
                     continue
+                dp = poly.partial(i)
+                if dp.is_zero():
+                    continue
                 sign, key = merged
-                piece = dp.scale(sign)
-                _accumulate(out, key, piece)
+                _accumulate(out, key, dp.scale(sign))
         return Form._raw(self.nvars, self.degree + 1, out)
 
 
@@ -250,7 +232,8 @@ class MultiVector(_Alternating):
         """Apply the multiderivation to functions: X(df_1, ..., df_k).
 
         X pairs with the k-form df_1 ^ ... ^ df_k: the value is the sum of
-        c_J (df_1 ^ ... ^ df_k)_J over the terms c_J Dx_J of X.
+        c_J (df_1 ^ ... ^ df_k)_J over the terms c_J Dx_J of X, so the
+        gradients need only the partials at indices that occur in some J.
         """
         if len(functions) != self.degree:
             raise DimensionError(
@@ -262,7 +245,8 @@ class MultiVector(_Alternating):
         result = Poly._raw(n, {})
         if not self.terms or not all(functions):  # a zero argument has df = 0
             return result
-        grads = [Form._raw(n, 1, {(i,): p for i in range(n) if (p := f.partial(i))})
+        used = sorted({i for idx in self.terms for i in idx})
+        grads = [Form._raw(n, 1, {(i,): p for i in used if (p := f.partial(i))})
                  for f in functions]
         product = grads[0]
         for grad in grads[1:]:
@@ -275,39 +259,22 @@ class MultiVector(_Alternating):
 
 
 class _ModuleElement:
-    """An r-tuple of same-shape components over the module basis e_1..e_r."""
+    """An r-tuple of components of one degree over the module basis e_1..e_r."""
 
     __slots__ = ("components",)
     component_cls = _Alternating
 
-    def __init__(self, components: Sequence, degree: int | None = None):
+    def __init__(self, components: Sequence):
         components = tuple(components)
         if not components:
             raise DimensionError("module elements need rank >= 1")
         cls = type(self).component_cls
-        nvars = components[0].nvars
         for c in components:
             if not isinstance(c, cls):
                 raise TypeError(f"components must be {cls.__name__} values")
-            if c.nvars != nvars:
-                raise DimensionError("mismatched variable counts across components")
-        if degree is None:
-            degrees = {c.degree for c in components if not c.is_zero()}
-            if len(degrees) > 1:
-                raise DimensionError(f"components of mixed degrees {sorted(degrees)}")
-            degree = degrees.pop() if degrees else components[0].degree
-        normalized = []
-        for c in components:
-            if c.is_zero():
-                # clamped zeros from vacuous contractions adopt the common degree
-                normalized.append(c if c.degree == degree else cls.zero(nvars, degree))
-            elif c.degree != degree:
-                raise DimensionError(
-                    f"component of degree {c.degree} does not match element degree {degree}"
-                )
-            else:
-                normalized.append(c)
-        object.__setattr__(self, "components", tuple(normalized))
+        if len({(c.nvars, c.degree) for c in components}) > 1:
+            raise DimensionError("components of mixed variable counts or degrees")
+        object.__setattr__(self, "components", components)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -353,7 +320,7 @@ class _ModuleElement:
         return self + (-other)
 
     def scale(self, value):
-        return type(self)([c.scale(value) for c in self.components], degree=self.degree)
+        return type(self)([c.scale(value) for c in self.components])
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -396,18 +363,15 @@ def interior_product(field, omega: Form):
 
     For a scalar ``MultiVector`` of degree k the result is a ``Form`` of
     degree q-k; for a ``ModuleCochainElement`` it is the componentwise
-    ``ModuleChainElement``. A degree-0 field acts by multiplication, and the
-    result is zero when q < k.
+    ``ModuleChainElement``. A degree-0 field acts by multiplication, and for
+    q < k the result is the zero of degree q-k.
 
     The implementation works directly on index tuples: Dx_J contracts dx_I
     to zero unless J lies inside I, and then, writing dx_I = sign dx_J ^
     dx_(I-J) by ``wedge_indices``, to sign dx_(I-J).
     """
     if isinstance(field, ModuleCochainElement):
-        return ModuleChainElement(
-            [interior_product(c, omega) for c in field.components],
-            degree=min(max(omega.degree - field.degree, 0), omega.nvars),
-        )
+        return ModuleChainElement([interior_product(c, omega) for c in field.components])
     if not isinstance(field, MultiVector):
         raise TypeError("expected a MultiVector or ModuleCochainElement")
     if not isinstance(omega, Form):
@@ -415,10 +379,6 @@ def interior_product(field, omega: Form):
     if field.nvars != omega.nvars:
         raise DimensionError("mismatched variable counts")
     k, q = field.degree, omega.degree
-    if k == 0:
-        return omega.scale(field.coefficient(()))
-    if q < k:
-        return Form.zero(omega.nvars, 0)
     out = {}
     for idx_j, a in field.terms.items():
         for idx_i, b in omega.terms.items():

@@ -92,14 +92,13 @@ def chain_differential(structure: PoissonStructure, module: PoissonModule,
 
     Component a contributes its Koszul boundary to e_a and its contraction
     ``interior_product(X_a, omega_a)`` with the module field X_a, which
-    spreads it over the sections e_b.
+    spreads it over the sections e_b. A zero component contributes the zero
+    of degree q-1.
     """
     _check_pair(structure, module, element)
-    n, r, q = element.nvars, element.rank, element.degree
-    if q == 0:
-        return ModuleChainElement.zero(r, n, 0)
-    out = ModuleChainElement([structure.koszul_differential(omega)
-                              for omega in element.components], degree=q - 1)
+    zero = Form.zero(element.nvars, element.degree - 1)
+    out = ModuleChainElement([structure.koszul_differential(omega) if omega else zero
+                              for omega in element.components])
     for omega, field in zip(element.components, module._fields):
         out = out + interior_product(field, omega)
     return out
@@ -122,8 +121,6 @@ def cochain_differential(structure: PoissonStructure, module: PoissonModule,
     """
     _check_pair(structure, module, element)
     n, r, k = element.nvars, element.rank, element.degree
-    if k >= n:
-        return ModuleCochainElement.zero(r, n, n)
     coords = structure.coordinates
     zero = Poly.zero(n)
     support = sorted({idx for comp in element.components for idx in comp.terms})
@@ -149,9 +146,7 @@ def cochain_differential(structure: PoissonStructure, module: PoissonModule,
             merged = wedge_indices(pq, rest)
             if merged is not None:
                 add(merged, element.evaluate(pi_pq, *args))
-    return ModuleCochainElement(
-        [MultiVector(n, k + 1, terms) for terms in out_terms], degree=k + 1
-    )
+    return ModuleCochainElement([MultiVector(n, k + 1, terms) for terms in out_terms])
 
 
 # ----------------------------------------------------------------------
@@ -173,7 +168,7 @@ def blacktriangle(mu: VolumeForm, element: ModuleCochainElement) -> ModuleChainE
         return complement, poly.scale(sign * coefficient)
 
     return ModuleChainElement([Form(n, n - k, [term(*item) for item in c.terms.items()])
-                               for c in element.components], degree=n - k)
+                               for c in element.components])
 
 
 def blacktriangle_basis(mu: VolumeForm, n: int, entry: BasisElement):
@@ -290,20 +285,6 @@ class ComplexSlice:
             for key, coeff in column.items():
                 rows[index[key]][col] = coeff
         return tuple(tuple(row) for row in rows)
-
-    def to_text(self) -> str:
-        """Dense rational grid with the ordered bases, for golden files."""
-        lines = [f"{self.kind} slice degree={self.degree} weight={self.weight}"]
-        lines.append("domain:")
-        for e in self.domain_basis:
-            lines.append(f"  e{e.section + 1} {e.indices} x^{e.exponents}")
-        lines.append("codomain:")
-        for e in self.codomain_basis:
-            lines.append(f"  e{e.section + 1} {e.indices} x^{e.exponents}")
-        lines.append("matrix:")
-        for row in self.matrix:
-            lines.append("  " + " ".join(str(c) for c in row))
-        return "\n".join(lines)
 
 
 def _table(sections, lower: int | None = None) -> tuple:

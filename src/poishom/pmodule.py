@@ -70,7 +70,7 @@ class PoissonModule:
         # X_1..X_r of the module docstring, degree-1 W-valued multiderivations
         object.__setattr__(self, "_fields", tuple(ModuleCochainElement(
             [MultiVector(nvars, 1, [((i,), m[a][b]) for i, m in enumerate(brackets)])
-             for b in range(rank)], degree=1) for a in range(rank)))
+             for b in range(rank)]) for a in range(rank)))
         if structure is not None:
             witness = flatness_defect(self, structure)
             if witness is not None:

@@ -67,10 +67,8 @@ class PoissonStructure:
     def __init__(self, bivector: MultiVector):
         if not isinstance(bivector, MultiVector):
             raise TypeError("expected a MultiVector")
-        if bivector.degree != 2 and not bivector.is_zero():
-            raise DimensionError("a Poisson structure is a bivector (degree 2)")
         if bivector.degree != 2:
-            bivector = MultiVector.zero(bivector.nvars, 2)
+            raise DimensionError("a Poisson structure is a bivector (degree 2)")
         n = bivector.nvars
         object.__setattr__(self, "bivector", bivector)
         object.__setattr__(self, "nvars", n)
@@ -153,7 +151,7 @@ class PoissonStructure:
         phi is Poisson iff phi({f,g}) = {phi f, g} + {f, phi g}; checking
         coordinate pairs suffices because the defect is a biderivation.
         """
-        if phi.degree != 1 and not phi.is_zero():
+        if phi.degree != 1:
             raise DimensionError("expected a vector field (degree 1)")
         if phi.nvars != self.nvars:
             raise DimensionError("mismatched variable counts")

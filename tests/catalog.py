@@ -74,6 +74,11 @@ def zero2() -> PoissonStructure:
     return PoissonStructure(MultiVector.zero(2, 2))
 
 
+def line1() -> PoissonStructure:
+    """The line R^1, where every bivector vanishes: pi = 0."""
+    return PoissonStructure(MultiVector.zero(1, 2))
+
+
 def generic2() -> PoissonStructure:
     """Non-homogeneous bivector on R^2 (every bivector there is Poisson)."""
     return PoissonStructure(bivector(2, {(0, 1): p2("1 + x^2*y")}))
@@ -105,6 +110,12 @@ def quadratic_rank2(structure) -> PoissonModule:
     b_x = matrix(2, [["x", "0"], ["0", "0"]])
     b_y = matrix(2, [["0", "0"], ["0", "y"]])
     return PoissonModule(2, 2, (b_x, b_y), structure=structure)
+
+
+def line_rank1(structure, c, m) -> PoissonModule:
+    """{e, x} = c x^m e on the line; flat, as R^1 has no coordinate pairs,
+    and graded with weight shift m - 1."""
+    return PoissonModule(1, 1, (((Poly.monomial(1, (m,), c),),),), structure=structure)
 
 
 def so3_rank2(structure) -> PoissonModule:
@@ -251,15 +262,11 @@ def rand_multivector(rng, nvars, degree, **kw) -> MultiVector:
 
 
 def rand_chain_element(rng, nvars, degree, rank, **kw) -> ModuleChainElement:
-    return ModuleChainElement(
-        [rand_form(rng, nvars, degree, **kw) for _ in range(rank)], degree=degree
-    )
+    return ModuleChainElement([rand_form(rng, nvars, degree, **kw) for _ in range(rank)])
 
 
 def rand_cochain_element(rng, nvars, degree, rank, **kw) -> ModuleCochainElement:
-    return ModuleCochainElement(
-        [rand_multivector(rng, nvars, degree, **kw) for _ in range(rank)], degree=degree
-    )
+    return ModuleCochainElement([rand_multivector(rng, nvars, degree, **kw) for _ in range(rank)])
 
 
 def rand_point(rng, nvars):
@@ -305,8 +312,6 @@ def decomposable(f0: Poly, functions) -> Form:
     det(df_s/dx_{I_t}) times f0, so independent of ``Form.wedge`` and the
     sign rule of the calculus."""
     n, r = f0.nvars, len(functions)
-    if r > n:
-        return Form.zero(n, r)
     return Form(n, r, {idx: f0 * leibniz_determinant(n, functions, idx)
                        for idx in combinations(range(n), r)})
 
@@ -333,24 +338,13 @@ def shuffle_interior_oracle(field, f0, functions):
 
     Works for scalar fields (returns Form) and module-valued fields
     (returns ModuleChainElement); independent of the index-tuple algorithm
-    in calculus.
+    in calculus. For q < k no k factors can be chosen, and the sum is the
+    zero of degree q - k.
     """
     module_valued = isinstance(field, ModuleCochainElement)
     n = f0.nvars
     q = len(functions)
     k = field.degree
-    if k == 0:
-        result = decomposable(f0, functions)
-        if module_valued:
-            return ModuleChainElement(
-                [result.scale(c.coefficient(())) for c in field.components], degree=q
-            )
-        return result.scale(field.coefficient(()))
-    if q < k:
-        zero = Form.zero(n, 0)
-        if module_valued:
-            return ModuleChainElement([zero] * field.rank, degree=0)
-        return zero
     rank = field.rank if module_valued else 1
     parts = [Form.zero(n, q - k)] * rank
     for chosen in combinations(range(q), k):
@@ -368,7 +362,7 @@ def shuffle_interior_oracle(field, f0, functions):
         else:
             parts[0] = parts[0] + tail.scale(evaluate_oracle(field, *args))
     if module_valued:
-        return ModuleChainElement(parts, degree=q - k)
+        return ModuleChainElement(parts)
     return parts[0]
 
 
@@ -382,7 +376,7 @@ def two_sum_chain_oracle(structure, module, wvec, f0, functions):
     """
     r = len(functions)
     n = structure.nvars
-    out = ModuleChainElement.zero(module.rank, n, max(r - 1, 0))
+    out = ModuleChainElement.zero(module.rank, n, r - 1)
     for i in range(1, r + 1):
         rest = [functions[t] for t in range(r) if t != i - 1]
         bracketed = module_bracket_oracle(
@@ -390,17 +384,13 @@ def two_sum_chain_oracle(structure, module, wvec, f0, functions):
         )
         tail = decomposable(Poly.constant(n, 1), rest)
         sign = (-1) ** (i - 1)
-        out = out + ModuleChainElement(
-            [tail.scale(g.scale(sign)) for g in bracketed], degree=max(r - 1, 0)
-        )
+        out = out + ModuleChainElement([tail.scale(g.scale(sign)) for g in bracketed])
     for i in range(1, r + 1):
         for j in range(i + 1, r + 1):
             br = bracket_oracle(structure, functions[i - 1], functions[j - 1])
             rest = [functions[t] for t in range(r) if t not in (i - 1, j - 1)]
             tail = decomposable(f0, [br, *rest]).scale((-1) ** (i + j))
-            out = out + ModuleChainElement(
-                [tail.scale(g) for g in wvec], degree=max(r - 1, 0)
-            )
+            out = out + ModuleChainElement([tail.scale(g) for g in wvec])
     return out
 
 
@@ -447,8 +437,6 @@ def cochain_differential_oracle(structure, module, element):
     """
     _check_pair(structure, module, element)
     n, r, k = element.nvars, element.rank, element.degree
-    if k >= n:
-        return ModuleCochainElement.zero(r, n, n)
     coords = structure.coordinates
     out_terms: list[dict] = [{} for _ in range(r)]
     for tup in combinations(range(n), k + 1):
@@ -471,9 +459,7 @@ def cochain_differential_oracle(structure, module, element):
         for b in range(r):
             if not value[b].is_zero():
                 out_terms[b][tup] = value[b]
-    return ModuleCochainElement(
-        [MultiVector(n, k + 1, terms) for terms in out_terms], degree=k + 1
-    )
+    return ModuleCochainElement([MultiVector(n, k + 1, terms) for terms in out_terms])
 
 
 def rank_oracle(rows) -> int:

@@ -161,22 +161,17 @@ def test_c3_identity_suite():
         lhs2 = interior_product(X, interior_product(Yv, omega))
         inner = interior_product(X, omega)
         rhs2 = ModuleChainElement(
-            [interior_product(Yv, c) for c in inner.components],
-            degree=min(max(q - k - l, 0), n),
+            [interior_product(Yv, c) for c in inner.components]
         ).scale((-1) ** (k * l))
         checks.append(lhs2 == rhs2)
         # twisted cochain differential: delta_{W_phi} = delta_W - (phi ^ -)
-        correction = ModuleCochainElement(
-            [phi.wedge(c) for c in X.components], degree=min(k + 1, n)
-        )
+        correction = ModuleCochainElement([phi.wedge(c) for c in X.components])
         checks.append(
             cochain_differential(structure, twisted, X)
             == cochain_differential(structure, module, X) - correction
         )
         # twisted chain differential: bnd^{W_phi} = bnd^W + id (x) iota_phi
-        correction2 = ModuleChainElement(
-            [interior_product(phi, c) for c in y.components], degree=max(q - 1, 0)
-        )
+        correction2 = ModuleChainElement([interior_product(phi, c) for c in y.components])
         checks.append(
             chain_differential(structure, twisted, y)
             == chain_differential(structure, module, y) + correction2

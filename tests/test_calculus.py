@@ -142,10 +142,17 @@ def test_d_squared_zero_random():
         assert omega.d().d().is_zero()
 
 
-def test_d_top_degree_returns_clamped_zero():
+def test_d_of_top_form_is_zero_of_degree_n_plus_1():
     top = Form(2, 2, {(0, 1): p2("x")})
     result = top.d()
-    assert result.is_zero() and result.degree == 2
+    assert result.is_zero() and result.degree == 3
+
+
+def test_zeros_of_different_degree_differ():
+    assert Form.zero(2, 0) != Form.zero(2, 1)
+    assert Form.zero(2, 3) == dx(0).wedge(dx(1)).d()
+    with pytest.raises(DimensionError):
+        Form.zero(2, 0) + Form.zero(2, 1)
 
 
 def test_d_graded_leibniz_random():
@@ -177,10 +184,10 @@ def test_interior_degree_zero_is_multiplication():
     assert interior_product(field, omega) == dx(1).scale(p2("x*y"))
 
 
-def test_interior_undershoot_is_zero_degree_zero():
+def test_interior_undershoot_is_zero_of_degree_q_minus_k():
     field = MultiVector(2, 2, {(0, 1): Poly.constant(2, 1)})
     result = interior_product(field, dx(0))
-    assert result.is_zero() and result.degree == 0
+    assert result.is_zero() and result.degree == -1
 
 
 def test_interior_matches_shuffle_oracle_on_decomposables():
@@ -237,8 +244,7 @@ def test_interior_graded_commutation_with_scalar_field():
         lhs = interior_product(X, interior_product(Y, omega))
         inner = interior_product(X, omega)
         rhs = ModuleChainElement(
-            [interior_product(Y, c) for c in inner.components],
-            degree=min(max(q - k - l, 0), n),
+            [interior_product(Y, c) for c in inner.components]
         ).scale((-1) ** (k * l))
         assert lhs == rhs
 
@@ -319,9 +325,9 @@ def test_module_element_mixed_degree_rejected():
         ModuleChainElement([dx(0), dx(0).wedge(dx(1))])
 
 
-def test_module_element_zero_components_adopt_degree():
-    element = ModuleChainElement([Form.zero(2, 0), dx(0)])
-    assert element.degree == 1 and element.components[0].degree == 1
+def test_module_element_zero_component_of_other_degree_rejected():
+    with pytest.raises(DimensionError):
+        ModuleChainElement([Form.zero(2, 0), dx(0)])
 
 
 def test_module_element_algebra():

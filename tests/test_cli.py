@@ -319,6 +319,18 @@ def test_check_ok(capsys):
     assert "jacobi: True" in out and "flat: True" in out
 
 
+def test_one_variable_problem_exits_0(tmp_path, capsys):
+    # the line R^1: pi = 0 is a bivector there too, and {e, x} = x^3 e
+    path = write(tmp_path, "line.json", {
+        "variables": ["x"], "poisson": {}, "volume": "1",
+        "module": {"rank": 1, "bracket": {"x": [["x^3"]]}},
+    })
+    for command in ("check", "modular", "cohomology", "homology"):
+        assert main([command, path]) == EXIT_OK
+    assert main(["duality", path, "--max-weight", "4", "--trials", "5"]) == EXIT_OK
+    assert "duality: ok" in capsys.readouterr().out
+
+
 def test_check_nonjacobi_exits_1_with_witness(capsys):
     assert main(["check", str(PROBLEMS / "nonjacobi.json"), "--format", "json"]) == EXIT_MATH
     report = json.loads(capsys.readouterr().out)

@@ -42,6 +42,8 @@ from catalog import (
     decomposable,
     generic2,
     graded_catalog,
+    line1,
+    line_rank1,
     p2,
     p3,
     quadratic2,
@@ -117,7 +119,7 @@ def test_chain_differential_against_two_sum_oracle():
             fs = [rand_poly(rng, n, 2, 2) for _ in range(r)]
             wvec = tuple(rand_poly(rng, n, 2, 2) for _ in range(W.rank))
             omega = decomposable(f0, fs)
-            element = ModuleChainElement([omega.scale(g) for g in wvec], degree=r)
+            element = ModuleChainElement([omega.scale(g) for g in wvec])
             got = chain_differential(P, W, element)
             want = two_sum_chain_oracle(P, W, wvec, f0, fs)
             assert got == want
@@ -168,7 +170,7 @@ def test_cochain_top_degree_maps_to_zero():
     W = so3_rank2(P)
     x = rand_cochain_element(random.Random(7), 3, 3, 2)
     image = cochain_differential(P, W, x)
-    assert image.is_zero() and image.degree == 3
+    assert image.is_zero() and image.degree == 4
 
 
 def test_cochain_differential_squares_to_zero():
@@ -246,18 +248,13 @@ def test_twisted_differential_identities():
         for _ in range(20):
             k = rng.randint(0, n)
             X = rand_cochain_element(rng, n, k, W.rank, max_degree=2, terms=2)
-            correction = ModuleCochainElement(
-                [phi.wedge(c) for c in X.components], degree=min(k + 1, n)
-            )
+            correction = ModuleCochainElement([phi.wedge(c) for c in X.components])
             assert cochain_differential(P, twisted, X) == (
                 cochain_differential(P, W, X) - correction
             )
             q = rng.randint(0, n)
             y = rand_chain_element(rng, n, q, W.rank, max_degree=2, terms=2)
-            correction2 = ModuleChainElement(
-                [interior_product(phi, c) for c in y.components],
-                degree=max(q - 1, 0),
-            )
+            correction2 = ModuleChainElement([interior_product(phi, c) for c in y.components])
             assert chain_differential(P, twisted, y) == (
                 chain_differential(P, W, y) + correction2
             )
@@ -275,13 +272,11 @@ def test_differentials_are_first_order_in_the_coefficient():
                 f = rand_poly(rng, n, max_degree=3)
                 X_f = P.hamiltonian(f)
                 X = rand_cochain_element(rng, n, degree, W.rank, max_degree=3)
-                symbol = ModuleCochainElement([X_f.wedge(c) for c in X.components],
-                                              degree=min(degree + 1, n))
+                symbol = ModuleCochainElement([X_f.wedge(c) for c in X.components])
                 assert cochain_differential(P, W, X.scale(f)) == (
                     cochain_differential(P, W, X).scale(f) + symbol)
                 y = rand_chain_element(rng, n, degree, W.rank, max_degree=3)
-                symbol = ModuleChainElement([interior_product(X_f, c) for c in y.components],
-                                            degree=max(degree - 1, 0))
+                symbol = ModuleChainElement([interior_product(X_f, c) for c in y.components])
                 assert chain_differential(P, W, y.scale(f)) == (
                     chain_differential(P, W, y).scale(f) - symbol)
                 cases += 1
@@ -475,13 +470,17 @@ def _rebuild(module, kind, degree, image):
 
 def _kernel_cases():
     """(structure, module) pairs for the slice columns: both catalogs, the
-    so(3) adjoint module (nonzero constant brackets) and the shipped
-    trivial-module inputs, each module also twisted by the opposite modular
-    field exactly as ``verify_duality`` twists it."""
+    so(3) adjoint module (nonzero constant brackets), the line R^1 with a
+    trivial and a rank-1 module and the shipped trivial-module inputs, each
+    module also twisted by the opposite modular field exactly as
+    ``verify_duality`` twists it."""
     root = Path(__file__).resolve().parent.parent
     triples = [(P, W, mu) for _, P, W, mu in chain_catalog()]
     triples += [(P, W, mu) for _, P, W, mu, _ in graded_catalog()]
     triples.append((so3(), so3_adjoint(so3()), VolumeForm()))
+    line = line1()
+    triples += [(line, PoissonModule.trivial(1, 1), VolumeForm()),
+                (line, line_rank1(line, -2, 3), VolumeForm())]
     for path in [root / "problems" / "bianchi5.json",
                  *sorted((root / "bench" / "inputs").glob("*.json"))]:
         spec = load(str(path))
@@ -603,12 +602,6 @@ def test_basis_image_refuses_an_unknown_kind():
     for kind in ("cochains", "homology", ""):
         with pytest.raises(ValueError, match=f"unknown kind {kind!r}"):
             basis_image(P, W, kind, 2, entry)
-
-
-def test_slice_export_text_contains_grid():
-    piece = assemble_slice(symplectic2(), PoissonModule.trivial(2, 1), "cochain", 0, 1)
-    text = piece.to_text()
-    assert "matrix:" in text and "domain:" in text
 
 
 def test_differentials_reject_rank_mismatch():

@@ -39,6 +39,8 @@ from catalog import (
     graded_catalog,
     heisenberg3,
     lie_poisson,
+    line1,
+    line_rank1,
     p2,
     quadratic2,
     quadratic_rank2,
@@ -312,6 +314,30 @@ def test_verify_duality_bianchi5_twists_the_trivial_line():
     assert twist(W, P, -P.modular_vector_field(VolumeForm())) != W
     assert report.ok() and report.weight_shift == -1
     assert report.betti_pairs and report.to_dict()["diagram"]["random_checked"] == 5
+
+
+def test_line_betti_numbers_and_duality_closed_forms():
+    """The line R^1 with pi = 0. With trivial coefficients HP^0 = R[x] and
+    HP^1 = R[x] Dx, HP_0 = R[x] and HP_1 = R[x] dx. For {e, x} = c x^m e,
+    c != 0, both differentials are multiplication by c x^m between the two
+    copies of R[x] (weight of x^j Dx is j - 1, of x^j dx is j + 1), so
+    HP^0 = HP_1 = 0 and HP^1, HP_0 are R[x]/(x^m): HP^1_w = 1 for
+    -1 <= w <= m - 2 and HP_0,w = 1 for 0 <= w <= m - 1."""
+    P = line1()
+    modules = [(PoissonModule.trivial(1, 1), None)]
+    modules += [(line_rank1(P, c, m), m) for c in (3, -2) for m in range(5)]
+    for W, m in modules:
+        cohomology = betti_table(P, W, "cohomology", 5).entries
+        homology = betti_table(P, W, "homology", 5).entries
+        assert set(cohomology) == {(k, w) for k in (0, 1) for w in range(-k, 6)}
+        assert set(homology) == {(q, w) for q in (0, 1) for w in range(q, 6)}
+        if m is None:  # every listed slice: w >= -k on cochains, w >= q on chains
+            assert set(cohomology.values()) == set(homology.values()) == {1}
+        else:
+            assert cohomology == {(k, w): int(k == 1 and w <= m - 2) for k, w in cohomology}
+            assert homology == {(q, w): int(q == 0 and w <= m - 1) for q, w in homology}
+        report = verify_duality(P, W, VolumeForm(), 5, 5, 0)
+        assert report.ok() and len(report.betti_pairs) == 13
 
 
 def test_symplectic_r4_cohomology_is_constants():

@@ -11,7 +11,6 @@ SRC = Path(poishom.__file__).resolve().parent
 # is public.
 ENTRY_POINTS = {
     "elw_connection": "the top-form connection from its own formula; tests compare it with a twist",
-    "ComplexSlice.to_text": "slice export for inspection",
 }
 
 
