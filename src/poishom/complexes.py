@@ -266,7 +266,8 @@ class ComplexSlice:
     ``columns`` holds one {codomain BasisElement: coefficient} per domain
     basis vector, in the order of ``domain_basis``: the nonzero coefficients
     of its image, keyed by the ``codomain_basis`` objects themselves.
-    ``matrix`` derives the dense rows from them on demand, with int zeros.
+    ``matrix`` derives the dense rows on demand, with int zeros; only
+    ``bench/tracing.py``'s slice statistics and the tests read it.
     """
 
     kind: str

@@ -1,12 +1,10 @@
 """Exact ranks, Betti numbers per weight, and the duality verifier.
 
-Slice matrices are very sparse and split into many small blocks, so
-``matrix_rank`` keeps each nonzero row as a sparse primitive integer row,
-splits the rows by union-find into the connected components of the
-row/column incidence graph, and eliminates each block fraction-free over
-Python ints with Markowitz-style pivots. No intermediate entry is ever
-rounded; a wrong rank would falsify the duality theorems spuriously, which
-is why no floating-point or modular-arithmetic shortcut is taken.
+Each slice is ranked straight from its sparse columns (``matrix_rank``
+takes sparse rows, and a matrix has the rank of its transpose), so no dense
+matrix is built. Elimination is fraction-free over Python ints: no entry is
+ever rounded. A wrong rank would falsify the duality theorems spuriously,
+which is why no floating-point or modular-arithmetic shortcut is taken.
 """
 
 from __future__ import annotations
@@ -16,7 +14,7 @@ import math
 import random
 from dataclasses import dataclass
 from functools import partial
-from itertools import combinations, compress, count
+from itertools import combinations
 
 from . import __version__
 from .calculus import ModuleCochainElement, MultiVector
@@ -43,18 +41,15 @@ def _primitive(row: dict) -> dict:
     return {j: c // content for j, c in row.items()} if content > 1 else row
 
 
-def _blocks(rows):
-    """Group sparse rows into the connected components of the row/column
-    incidence graph (union-find over columns)."""
-    parent = {}
+def _blocks(rows, ncols: int):
+    """Group sparse rows over columns 0..ncols-1 into the connected components
+    of the row/column incidence graph (union-find over columns)."""
+    parent = list(range(ncols))
 
     def find(j):
-        root = parent.setdefault(j, j)
-        while parent[root] != root:
-            root = parent[root]
-        while parent[j] != root:  # path compression
-            parent[j], j = root, parent[j]
-        return root
+        while parent[j] != j:
+            parent[j] = j = parent[parent[j]]  # path halving
+        return j
 
     for row in rows:
         first, *rest = map(find, row)
@@ -95,42 +90,45 @@ def _block_rank(rows) -> int:
     return rank
 
 
-_INTS = {int, bool}  # entry types a row may hold to be read as it is
-
-
 def matrix_rank(matrix) -> int:
-    """Exact rank of a rational matrix given as dense rows.
+    """Exact rank of a rational matrix given as an iterable of sparse rows.
 
-    Entries are ints (bools included) or ``Fraction``s; anything else, a
-    float say, raises ``TypeError``. Each nonzero row becomes a sparse
-    primitive integer row: its nonzero entries are read as they are, with
-    no conversion per cell, and scaled by the lcm of their denominators
-    when some are fractions. Rows that share no column, directly or
-    through other rows, cannot affect each other's pivots, so the rows are
-    split into such blocks and the block ranks are added. Within a block,
-    the row with the fewest nonzeros is the pivot row and its column found
-    in the fewest remaining rows is the pivot column (Markowitz-style, to
-    limit fill-in); every row meeting that column becomes
-    lead*row - entry*pivot_row, divided by its content.
+    Each row maps column keys, any hashable labels, to entries: ints (bools
+    included) or ``Fraction``s. Anything else, a float or ``None`` say,
+    raises ``TypeError``, zero or not. The caller's mappings are not
+    changed. A matrix has the rank of its transpose, so the columns of a
+    ``ComplexSlice`` are passed as its rows. The keys are numbered as they
+    are read, so union-find and elimination hash small ints. Each nonzero
+    row becomes a sparse primitive integer row, scaled by the lcm of its
+    denominators. Rows that share no column, directly or through other rows,
+    cannot affect each other's pivots, so the rows are split into such
+    blocks and the block ranks are added. Within a block, the row with the
+    fewest nonzeros is the pivot row and its column found in the fewest
+    remaining rows is the pivot column (Markowitz-style, to limit fill-in);
+    every row meeting that column becomes lead*row - entry*pivot_row,
+    divided by its content.
     """
-    rows = []
+    ids: dict = {}
+    sparse = []
     for row in matrix:
-        if not set(map(type, row)) <= _INTS:
-            row = [_int_or_fraction(c) for c in row]  # refuses anything inexact
-        columns = list(compress(count(), row))
-        if columns:
-            values = list(filter(None, row))
-            scale = math.lcm(*(c.denominator for c in values))
+        entries = {}
+        for key, c in row.items():
+            if type(c) is not int:
+                c = _int_or_fraction(c)  # refuses anything inexact, zero or not
+            if c:
+                entries[ids.setdefault(key, len(ids))] = c
+        if entries:
+            scale = math.lcm(*(c.denominator for c in entries.values()))
             if scale > 1:
-                values = [c.numerator * (scale // c.denominator) for c in values]
-            rows.append(_primitive(dict(zip(columns, values))))
-    return sum(_block_rank(block) for block in _blocks(rows))
+                entries = {j: c.numerator * (scale // c.denominator) for j, c in entries.items()}
+            sparse.append(_primitive(entries))
+    return sum(_block_rank(block) for block in _blocks(sparse, len(ids)))
 
 
 def _ranked(cache, module, piece):
     """Record (domain dimension, matrix rank) of a slice of ``module``."""
     key = (module, piece.kind, piece.degree, piece.weight)
-    cache[key] = (len(piece.domain_basis), matrix_rank(piece.matrix))
+    cache[key] = (len(piece.domain_basis), matrix_rank(piece.columns))
 
 
 def _slice_rank(structure, module, kind, degree, weight, cache):

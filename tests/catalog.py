@@ -481,3 +481,9 @@ def rank_oracle(rows) -> int:
                 rows[i] = [c - factor * d for c, d in zip(rows[i], rows[rank])]
         rank += 1
     return rank
+
+
+def sparse_rows(m) -> list:
+    """Dense rows as the sparse rows ``matrix_rank`` takes, {column: entry},
+    zero entries kept."""
+    return [dict(enumerate(r)) for r in m]

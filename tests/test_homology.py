@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from poishom import (
+    BasisElement,
+    ComplexSlice,
     FlatnessError,
     Form,
     ModuleChainElement,
@@ -49,6 +51,7 @@ from catalog import (
     sl2_constants,
     so3,
     so3_adjoint,
+    sparse_rows,
     symplectic2,
     zero2,
 )
@@ -59,26 +62,65 @@ from catalog import (
 
 
 def test_rank_trivial_cases():
-    assert matrix_rank([[0, 0, 0, 0]] * 3) == 0
+    assert matrix_rank(sparse_rows([[0, 0, 0, 0]] * 3)) == 0
     identity = [[Fraction(i == j) for j in range(5)] for i in range(5)]
-    assert matrix_rank(identity) == 5
-    assert matrix_rank([[1, 2], [2, 4]]) == 1
+    assert matrix_rank(sparse_rows(identity)) == 5
+    assert matrix_rank(sparse_rows([[1, 2], [2, 4]])) == 1
     assert matrix_rank([]) == 0
 
 
+def test_rank_of_empty_input_and_empty_or_zero_rows_is_zero():
+    assert matrix_rank(()) == 0
+    assert matrix_rank([{}]) == 0
+    assert matrix_rank([{0: 0, "a": 0}, {}]) == 0
+    assert matrix_rank([{0: 0}, {0: 3}]) == 1
+
+
+def test_rank_accepts_a_generator_of_rows():
+    assert matrix_rank({i: 1, i + 1: 1} for i in range(4)) == 4
+    assert matrix_rank(row for row in sparse_rows([[1, 2], [2, 4]])) == 1
+
+
+def test_rank_does_not_change_the_rows():
+    rows = [{"a": Fraction(1, 2), "b": 0}, {"a": 1, "b": Fraction(-1, 3)}, {"a": True}]
+    before = [dict(row) for row in rows]
+    assert matrix_rank(rows) == 2
+    assert rows == before
+
+
+def test_rank_reads_any_hashable_keys_in_any_order():
+    rng = random.Random(31)
+    for _ in range(40):
+        nrows, ncols = rng.randint(1, 5), rng.randint(1, 6)
+        m = [[rng.choice([0, 0, 1, -2, Fraction(3, 2)]) for _ in range(ncols)]
+             for _ in range(nrows)]
+        expected = matrix_rank(sparse_rows(m))
+        assert expected == rank_oracle(m)
+        names = [f"c{j}" for j in range(ncols)]
+        elements = [BasisElement(j % 2, (j,), (ncols - j, j)) for j in range(ncols)]
+        for labels in (names, elements):
+            rows = []
+            for r in m:
+                items = [(labels[j], c) for j, c in enumerate(r)]
+                rng.shuffle(items)
+                rows.append(dict(items))
+            assert matrix_rank(rows) == expected
+
+
 def test_rank_with_rational_entries():
-    assert matrix_rank([[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), 1]]) == 1
+    assert matrix_rank(sparse_rows([[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), 1]])) == 1
 
 
 @pytest.mark.parametrize("entry", [0.5, 0.0, "1", None, complex(1)])
 def test_rank_refuses_inexact_entries(entry):
+    # sparse_rows keeps zero entries, so 0.0 and None reach matrix_rank too
     with pytest.raises(TypeError, match="coefficient must be an int or Fraction"):
-        matrix_rank([[1, 0], [Fraction(1, 2), entry]])
+        matrix_rank(sparse_rows([[1, 0], [Fraction(1, 2), entry]]))
 
 
 def test_rank_reads_booleans_and_integral_fractions_as_ints():
-    assert matrix_rank([[True, True], [Fraction(2, 1), 2]]) == 1
-    assert matrix_rank([[True, 0], [0, Fraction(4, 2)]]) == 2
+    assert matrix_rank(sparse_rows([[True, True], [Fraction(2, 1), 2]])) == 1
+    assert matrix_rank(sparse_rows([[True, 0], [0, Fraction(4, 2)]])) == 2
 
 
 def test_rank_transpose_invariance_and_oracle():
@@ -92,8 +134,8 @@ def test_rank_transpose_invariance_and_oracle():
         ]
         transpose = [[m[i][j] for i in range(rows)] for j in range(cols)]
         expected = rank_oracle(m)
-        assert matrix_rank(m) == expected
-        assert matrix_rank(transpose) == expected
+        assert matrix_rank(sparse_rows(m)) == expected
+        assert matrix_rank(sparse_rows(transpose)) == expected
 
 
 # Generated sparse matrices: permuted block-diagonal matrices of low-rank
@@ -141,8 +183,8 @@ def sparse_matrices(draw):
 def test_rank_matches_oracle_on_generated_sparse_matrices(generated):
     m, ncols = generated
     expected = rank_oracle(m)
-    assert matrix_rank(m) == expected
-    assert matrix_rank(transpose(m, ncols)) == expected
+    assert matrix_rank(sparse_rows(m)) == expected
+    assert matrix_rank(sparse_rows(transpose(m, ncols))) == expected
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -155,7 +197,7 @@ def test_rank_invariant_under_permutation_and_row_scaling(generated, data):
     scaled_row = data.draw(st.integers(0, len(m) - 1))
     factor = data.draw(ENTRIES.filter(bool))
     moved[scaled_row] = [factor * c for c in moved[scaled_row]]
-    assert matrix_rank(moved) == matrix_rank(m)
+    assert matrix_rank(sparse_rows(moved)) == matrix_rank(sparse_rows(m))
 
 
 def test_rank_agrees_with_oracle_on_catalog_slices():
@@ -169,7 +211,7 @@ def test_rank_agrees_with_oracle_on_catalog_slices():
                         continue
                     piece = assemble_slice(structure, module, kind, degree, weight)
                     matrix = piece.matrix
-                    assert matrix_rank(matrix) == rank_oracle(matrix), (
+                    assert matrix_rank(piece.columns) == rank_oracle(matrix), (
                         label, kind, degree, weight
                     )
                     for col, (entry, column) in enumerate(
@@ -180,6 +222,21 @@ def test_rank_agrees_with_oracle_on_catalog_slices():
                             assert matrix[row][col] == column.get(key, 0)
                     checked.add(kind)
     assert checked == {"cochain", "chain"}
+
+
+def test_runs_rank_slices_without_the_dense_view(monkeypatch):
+    P = quadratic2()
+    W = quadratic_rank2(P)
+    expected = {kind: betti_table(P, W, kind, 3).entries for kind in ("cohomology", "homology")}
+
+    def dense(piece):
+        raise AssertionError("a run path built a dense slice matrix")
+
+    monkeypatch.setattr(ComplexSlice, "matrix", property(dense))
+    for kind, entries in expected.items():
+        assert betti_table(P, W, kind, 3).entries == entries
+    report = verify_duality(P, W, VolumeForm(), max_weight=3, trials=3)
+    assert report.ok() and report.betti_pairs
 
 
 # ----------------------------------------------------------------------
@@ -385,7 +442,7 @@ def test_betti_independent_of_basis_order():
             cols = list(range(len(rows[0]) if rows else 0))
             rng.shuffle(cols)
             shuffled = [[row[c] for c in cols] for row in rows]
-            return matrix_rank(shuffled)
+            return matrix_rank(sparse_rows(shuffled))
 
         direct = betti(P, W, kind, degree, weight)
         if outgoing.matrix and incoming.matrix:

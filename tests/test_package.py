@@ -11,6 +11,7 @@ SRC = Path(poishom.__file__).resolve().parent
 # is public.
 ENTRY_POINTS = {
     "elw_connection": "the top-form connection from its own formula; tests compare it with a twist",
+    "ComplexSlice.matrix": "dense view read by bench/tracing.py's slice statistics and by the rank tests",
 }
 
 
