@@ -20,13 +20,13 @@ from .calculus import (
 from .complexes import (
     BasisElement,
     ComplexSlice,
+    Grading,
     assemble_slice,
     basis_image,
     blacktriangle,
     blacktriangle_basis,
     chain_differential,
     cochain_differential,
-    graded_weight_shift,
     slice_basis,
 )
 from .errors import (
@@ -68,6 +68,7 @@ __all__ = [
     "FlatnessError",
     "Form",
     "GradedModeError",
+    "Grading",
     "JacobiError",
     "ModularFieldError",
     "ModuleChainElement",
@@ -91,7 +92,6 @@ __all__ = [
     "cochain_differential",
     "elw_connection",
     "flatness_defect",
-    "graded_weight_shift",
     "interior_product",
     "lie_derivative",
     "matrix_rank",

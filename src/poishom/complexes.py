@@ -51,9 +51,10 @@ take every shuffle sign from ``calculus.wedge_indices``.
 Weight grading: weight(x_i) = weight(dx_i) = +1, weight(d/dx_i) = -1. When
 the bivector is homogeneous of coefficient degree d and every bracket entry
 is homogeneous of degree d-1, both differentials shift weight by exactly
-d-2 and every weight slice is finite dimensional; ``assemble_slice`` stores
-these restrictions as sparse columns over deterministic monomial bases, the
-one form that slice ranks and the duality check both read.
+d-2 and every weight slice is finite dimensional; a ``Grading`` decides this
+once per complex. ``assemble_slice`` stores these restrictions as sparse
+columns over deterministic monomial bases, the one form that slice ranks and
+the duality check both read.
 """
 
 from __future__ import annotations
@@ -190,39 +191,54 @@ class BasisElement(NamedTuple):
     exponents: tuple
 
 
-def graded_weight_shift(structure: PoissonStructure, module: PoissonModule) -> int:
-    """Weight shift of the differentials in graded mode.
-
-    Graded mode requires the bivector homogeneous of some coefficient degree
-    d and every bracket entry homogeneous of degree d-1 (zero entries are
-    fine); the shift is then d-2. If the bivector vanishes the bracket
-    degree m alone fixes the shift m-1, and with no data at all the shift
-    is 0 (both differentials vanish identically).
+class Grading:
+    """The weight grading of the ``kind`` complex ("cochain" or "chain") of
+    ``structure`` with coefficients in ``module``; the constructor is the
+    graded-mode gate. It needs the bivector homogeneous of some coefficient
+    degree d and every nonzero bracket entry of degree d-1, else it raises
+    ``GradedModeError``. The differential moves degree by ``step`` (+1 on
+    cochains, -1 on chains) and weight by ``shift``: d-2, or m-1 if only the
+    brackets (of degree m) are nonzero, or 0 with no data. ``_ranks`` keeps
+    (dimension, rank) per (degree, weight) for ``homology.betti``.
     """
-    degrees = []
-    for polys, mixed in (
-        (structure.bivector.terms.values(), "bivector coefficients have mixed degrees"),
-        ((entry for m in module.brackets for row in m for entry in row),
-         "bracket entries have mixed homogeneous degrees"),
-    ):
-        try:
-            found = {poly.homogeneous_degree() for poly in polys if poly}
-        except ValueError as exc:  # a polynomial that is not homogeneous
-            raise GradedModeError(str(exc)) from exc
-        if len(found) > 1:
-            raise GradedModeError(mixed)
-        degrees.append(found.pop() if found else None)
-    pi_degree, bracket_degree = degrees
-    if pi_degree is None and bracket_degree is None:
-        return 0
-    if pi_degree is None:
-        return bracket_degree - 1
-    if bracket_degree is not None and bracket_degree != pi_degree - 1:
-        raise GradedModeError(
-            f"bracket entries have degree {bracket_degree}, expected "
-            f"{pi_degree - 1} for a bivector of degree {pi_degree}"
-        )
-    return pi_degree - 2
+
+    __slots__ = ("structure", "module", "kind", "shift", "step", "_ranks")
+
+    def __init__(self, structure: PoissonStructure, module: PoissonModule, kind: str):
+        if kind not in ("chain", "cochain"):
+            raise ValueError(f"unknown kind {kind!r}")
+        degrees = []
+        for polys, mixed in (
+            (structure.bivector.terms.values(), "bivector coefficients have mixed degrees"),
+            ((entry for m in module.brackets for row in m for entry in row),
+             "bracket entries have mixed homogeneous degrees"),
+        ):
+            try:
+                found = {poly.homogeneous_degree() for poly in polys if poly}
+            except ValueError as exc:  # a polynomial that is not homogeneous
+                raise GradedModeError(str(exc)) from exc
+            if len(found) > 1:
+                raise GradedModeError(mixed)
+            degrees.append(found.pop() if found else None)
+        pi_degree, bracket_degree = degrees
+        if pi_degree is None:
+            shift = 0 if bracket_degree is None else bracket_degree - 1
+        elif bracket_degree is None or bracket_degree == pi_degree - 1:
+            shift = pi_degree - 2
+        else:
+            raise GradedModeError(
+                f"bracket entries have degree {bracket_degree}, expected "
+                f"{pi_degree - 1} for a bivector of degree {pi_degree}"
+            )
+        object.__setattr__(self, "structure", structure)
+        object.__setattr__(self, "module", module)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "shift", shift)
+        object.__setattr__(self, "step", 1 if kind == "cochain" else -1)
+        object.__setattr__(self, "_ranks", {})
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Grading is immutable")
 
 
 def slice_basis(module: PoissonModule, kind: str, degree: int, weight: int):
@@ -270,7 +286,6 @@ class ComplexSlice:
     ``bench/tracing.py``'s slice statistics and the tests read it.
     """
 
-    kind: str
     degree: int
     weight: int
     domain_basis: tuple
@@ -357,13 +372,12 @@ def basis_image(structure: PoissonStructure, module: PoissonModule, kind: str,
     return {key: c for key, c in out.items() if c}
 
 
-def assemble_slice(structure: PoissonStructure, module: PoissonModule,
-                   kind: str, degree: int, weight: int) -> ComplexSlice:
-    """Columns of the differential leaving slice (degree, weight)."""
-    shift = graded_weight_shift(structure, module)
+def assemble_slice(grading: Grading, degree: int, weight: int) -> ComplexSlice:
+    """Columns of the differential of ``grading``'s complex leaving slice
+    (degree, weight); its codomain is slice (degree + step, weight + shift)."""
+    structure, module, kind = grading.structure, grading.module, grading.kind
     domain = slice_basis(module, kind, degree, weight)
-    codomain_degree = degree + 1 if kind == "cochain" else degree - 1
-    codomain = slice_basis(module, kind, codomain_degree, weight + shift)
+    codomain = slice_basis(module, kind, degree + grading.step, weight + grading.shift)
     own = {entry: entry for entry in codomain}  # columns reuse the codomain key objects
     columns = []
     for entry in domain:
@@ -376,6 +390,4 @@ def assemble_slice(structure: PoissonStructure, module: PoissonModule,
                 )
             column[shared] = coeff
         columns.append(column)
-    return ComplexSlice(
-        kind, degree, weight, tuple(domain), tuple(codomain), tuple(columns)
-    )
+    return ComplexSlice(degree, weight, tuple(domain), tuple(codomain), tuple(columns))

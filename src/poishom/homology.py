@@ -19,6 +19,7 @@ from itertools import combinations
 from . import __version__
 from .calculus import ModuleCochainElement, MultiVector
 from .complexes import (
+    Grading,
     assemble_slice,
     basis_image,
     blacktriangle,
@@ -26,7 +27,6 @@ from .complexes import (
     chain_differential,
     cochain_differential,
     element_from_basis,
-    graded_weight_shift,
     slice_basis,
 )
 from .errors import GradedModeError
@@ -125,35 +125,26 @@ def matrix_rank(matrix) -> int:
     return sum(_block_rank(block) for block in _blocks(sparse, len(ids)))
 
 
-def _ranked(cache, module, piece):
-    """Record (domain dimension, matrix rank) of a slice of ``module``."""
-    key = (module, piece.kind, piece.degree, piece.weight)
-    cache[key] = (len(piece.domain_basis), matrix_rank(piece.columns))
+def _ranked(grading: Grading, piece) -> None:
+    """Keep (domain dimension, matrix rank) of a slice of ``grading``'s complex on it."""
+    grading._ranks[piece.degree, piece.weight] = len(piece.domain_basis), matrix_rank(piece.columns)
 
 
-def _slice_rank(structure, module, kind, degree, weight, cache):
-    """(domain dimension, matrix rank) of one slice, memoized per run."""
-    key = (module, kind, degree, weight)
-    if key not in cache:
-        _ranked(cache, module, assemble_slice(structure, module, kind, degree, weight))
-    return cache[key]
+def _slice_rank(grading: Grading, degree: int, weight: int) -> tuple:
+    """(domain dimension, matrix rank) of one slice, assembled once per grading."""
+    if (degree, weight) not in grading._ranks:
+        _ranked(grading, assemble_slice(grading, degree, weight))
+    return grading._ranks[degree, weight]
 
 
-def betti(structure: PoissonStructure, module: PoissonModule,
-          kind: str, degree: int, weight: int, _cache: dict | None = None) -> int:
+def betti(grading: Grading, degree: int, weight: int) -> int:
     """dim ker(outgoing differential) - rank(incoming differential).
 
-    Graded mode only. Incoming means the differential landing in slice
-    (degree, weight): for cochains it leaves (degree-1, weight-shift), for
-    chains (degree+1, weight-shift).
+    Incoming means the differential landing in slice (degree, weight): it
+    leaves (degree - step, weight - shift). Each slice is ranked once per grading.
     """
-    cache = {} if _cache is None else _cache
-    shift = graded_weight_shift(structure, module)
-    dimension, outgoing_rank = _slice_rank(structure, module, kind, degree, weight, cache)
-    incoming_degree = degree - 1 if kind == "cochain" else degree + 1
-    _, incoming_rank = _slice_rank(
-        structure, module, kind, incoming_degree, weight - shift, cache
-    )
+    dimension, outgoing_rank = _slice_rank(grading, degree, weight)
+    _, incoming_rank = _slice_rank(grading, degree - grading.step, weight - grading.shift)
     return dimension - outgoing_rank - incoming_rank
 
 
@@ -211,26 +202,21 @@ def betti_table(structure: PoissonStructure, module: PoissonModule,
                 kind: str, max_weight: int) -> BettiTable:
     """Betti numbers for all degrees 0..n and weights up to ``max_weight``.
 
-    Only the nonempty slices are listed (see ``_slices``). The metadata
-    records the weight cap, so absence of (co)homology is only ever claimed
-    within it.
+    Only the nonempty slices are listed (see ``_slices``). One ``Grading``
+    gates the run and keeps every slice rank. The metadata records the
+    weight cap, so absence of (co)homology is only ever claimed within it.
     """
     if kind not in ("homology", "cohomology"):
         raise ValueError(f"unknown kind {kind!r}")
-    slice_kind = "cochain" if kind == "cohomology" else "chain"
-    n = structure.nvars
-    shift = graded_weight_shift(structure, module)
-    cache: dict = {}
-    entries = {
-        (degree, weight): betti(structure, module, slice_kind, degree, weight, _cache=cache)
-        for degree, weight in _slices(slice_kind, n, max_weight)
-    }
+    grading = Grading(structure, module, "cochain" if kind == "cohomology" else "chain")
+    entries = {(degree, weight): betti(grading, degree, weight)
+               for degree, weight in _slices(grading.kind, structure.nvars, max_weight)}
     metadata = {
         "structure": structure_digest(structure.bivector, module),
-        "weight_shift": shift,
+        "weight_shift": grading.shift,
         "max_weight": max_weight,
         "rank": module.rank,
-        "nvars": n,
+        "nvars": structure.nvars,
     }
     return BettiTable(kind, entries, metadata)
 
@@ -356,13 +342,14 @@ def verify_duality(structure: PoissonStructure, module: PoissonModule,
     slices (k, w) with w <= ``max_weight``, check exactly that the twisted
     chain differential of T e equals T of the cochain differential of e,
     where T is ``blacktriangle``. T relabels and scales basis vectors, so
-    this compares columns: in graded mode those of the cochain slice (k, w)
-    and the twisted chain slice (n-k, w+n), whose ranks it records;
-    otherwise those of ``basis_image``. Failing basis vectors and the
-    ``trials`` seeded random elements go through the object-level
-    differentials, which give the witnesses. Betti-level pass (graded mode
-    only), over the same (k, w): dim HP^k(W) at weight w must equal
-    dim HP_{n-k}(W twisted by the opposite modular field) at weight w+n.
+    this compares columns: in graded mode (the ``Grading`` gates of W's
+    cochains and the twisted chains pass) those of the cochain slice (k, w)
+    and the twisted chain slice (n-k, w+n), whose ranks the gates keep;
+    otherwise those of ``basis_image``, and the note says why. Failing basis
+    vectors and the ``trials`` seeded random elements go through the
+    object-level differentials, which give the witnesses. Betti-level pass
+    (graded mode only), over the same (k, w): dim HP^k(W) at weight w must
+    equal dim HP_{n-k}(W twisted by the opposite modular field) at weight w+n.
     """
     if trials < 0:
         raise ValueError(f"trials must be non-negative, got {trials}")
@@ -370,21 +357,21 @@ def verify_duality(structure: PoissonStructure, module: PoissonModule,
     phi = structure.modular_vector_field(mu)
     twisted = twist(module, structure, -phi)
     try:
-        shift, note = graded_weight_shift(structure, module), ""
+        cochain_grading = Grading(structure, module, "cochain")
+        chain_grading, note = Grading(structure, twisted, "chain"), ""
     except GradedModeError as exc:
-        shift, note = None, f"Betti comparison skipped: {exc}"
+        chain_grading, note = None, f"Betti comparison skipped: {exc}"
 
     slices = _slices("cochain", n, max_weight)
-    cache: dict = {}
     checked = 0
     failures = []
     for degree, weight in slices:
-        if shift is not None:
-            cochains = assemble_slice(structure, module, "cochain", degree, weight)
-            _ranked(cache, module, cochains)
+        if chain_grading is not None:
+            cochains = assemble_slice(cochain_grading, degree, weight)
+            _ranked(cochain_grading, cochains)
             delta = zip(cochains.domain_basis, cochains.columns)
             del cochains  # its columns live on only in delta
-            chains = assemble_slice(structure, twisted, "chain", n - degree, weight + n)
+            chains = assemble_slice(chain_grading, n - degree, weight + n)
             boundary = dict(zip(chains.domain_basis, chains.columns)).__getitem__
         else:  # one basis vector at a time
             delta = ((e, basis_image(structure, module, "cochain", degree, e))
@@ -402,15 +389,15 @@ def verify_duality(structure: PoissonStructure, module: PoissonModule,
                 failures.append(_failure(
                     degree, element, *_diagram_check(structure, module, twisted, mu, element)
                 ))
-        if shift is not None:
+        if chain_grading is not None:
             del delta, boundary  # rank with one slice in memory
-            _ranked(cache, twisted, chains)
+            _ranked(chain_grading, chains)
             del chains
 
     pairs = []
-    for degree, weight in (slices if shift is not None else ()):
-        cochain_dim = betti(structure, module, "cochain", degree, weight, _cache=cache)
-        chain_dim = betti(structure, twisted, "chain", n - degree, weight + n, _cache=cache)
+    for degree, weight in (slices if chain_grading is not None else ()):
+        cochain_dim = betti(cochain_grading, degree, weight)
+        chain_dim = betti(chain_grading, n - degree, weight + n)
         pairs.append({
             "degree": degree,
             "weight": weight,
@@ -441,7 +428,7 @@ def verify_duality(structure: PoissonStructure, module: PoissonModule,
         ),
         diagram_total=checked,
         diagram_failures=failures,
-        weight_shift=shift,
+        weight_shift=None if chain_grading is None else cochain_grading.shift,
         graded_note=note,
         betti_pairs=pairs,
     )

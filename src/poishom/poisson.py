@@ -134,9 +134,8 @@ class PoissonStructure:
             if c:
                 out[(i,)] = c.scale(Fraction(1, coefficient))
         phi = MultiVector(n, 1, out)
-        for i in range(n):
-            x_i = self.coordinates[i]
-            lhs = lie_derivative(self.hamiltonian(x_i), mu_form)
+        for i, (x_i, field) in enumerate(zip(self.coordinates, self._hamiltonians)):
+            lhs = lie_derivative(field, mu_form)  # L_{X_{x_i}} mu
             rhs = mu_form.scale(phi.evaluate(x_i))
             if lhs != rhs:
                 raise ModularFieldError((i, lhs, rhs))

@@ -185,6 +185,54 @@ def sl2_constants():
     return c
 
 
+# ----------------------------------------------------------------------
+# log-canonical structures with diagonal modules
+
+
+def log_canonical(q, c):
+    """(structure, module) for pi = sum_{i<j} q_ij x_i x_j Dx_i ^ Dx_j, with q
+    a skew integer matrix, and the diagonal module {e_a, x_j} = c_aj x_j e_a
+    of rank len(c), built through the Jacobi and the flatness gates."""
+    n = len(q)
+    x = [Poly.variable(n, i) for i in range(n)]
+    structure = PoissonStructure(bivector(n, {
+        (i, j): (x[i] * x[j]).scale(q[i][j]) for i, j in combinations(range(n), 2)}))
+    module = PoissonModule(n, len(c), tuple(
+        tuple(tuple(x[j].scale(c[a][j]) if a == b else Poly.zero(n) for b in range(len(c)))
+              for a in range(len(c)))
+        for j in range(n)), structure=structure)
+    return structure, module
+
+
+def log_canonical_cases():
+    """Seeded (q, c) pairs for ``log_canonical``: n = 2..4, rank 1 and 2,
+    entries of q in -2..2. They include q = 0 and the resonant q with zero
+    row sums on R^3 (x1 x2 x3 is a Casimir). Each random row c_a is either
+    drawn from -2..2 or set to -q^T beta for a random 0/1 vector beta, so
+    that lambda_a(beta) = 0 and the closed forms have entries away from the
+    constants."""
+    rng = random.Random(2002)
+    cases = [
+        ([[0, 0], [0, 0]], [[1, -2]]),
+        ([[0, 0, 0], [0, 0, 0], [0, 0, 0]], [[0, 0, 0], [0, 1, 0]]),
+        ([[0, 1, -1], [-1, 0, 1], [1, -1, 0]], [[0, 0, 0], [1, 1, 1]]),
+    ]
+    for n, rank in ((2, 1), (2, 2), (3, 1), (3, 2), (3, 2), (4, 1), (4, 2), (4, 2)):
+        q = [[0] * n for _ in range(n)]
+        for i, j in combinations(range(n), 2):
+            q[i][j] = rng.randint(-2, 2)
+            q[j][i] = -q[i][j]
+        c = []
+        for _ in range(rank):
+            if rng.random() < 0.5:
+                c.append([rng.randint(-2, 2) for _ in range(n)])
+            else:
+                beta = [rng.randint(0, 1) for _ in range(n)]
+                c.append([-sum(q[i][j] * beta[i] for i in range(n)) for j in range(n)])
+        cases.append((q, c))
+    return cases
+
+
 def chain_catalog():
     """(label, structure, module, mu) triples for chain-level duality checks."""
     mu = VolumeForm()

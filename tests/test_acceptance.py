@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 from poishom import (
+    Grading,
     JacobiError,
     ModuleChainElement,
     ModuleCochainElement,
@@ -249,12 +250,10 @@ def test_c6_symplectic_sanity():
     for (k, w), dim in table.entries.items():
         if k in (1, 2):
             assert dim == 0, (k, w)
-    cache = {}
+    chains, cochains = Grading(structure, module, "chain"), Grading(structure, module, "cochain")
     for k in range(3):
         for w in range(-2, 9):
-            assert betti(structure, module, "chain", 2 - k, w + 2, _cache=cache) == (
-                betti(structure, module, "cochain", k, w, _cache=cache)
-            )
+            assert betti(chains, 2 - k, w + 2) == betti(cochains, k, w)
     ok(6, "symplectic R^2: HP^0 = constants, HP^1 = HP^2 = 0, shifted duality")
 
 
@@ -272,11 +271,11 @@ def test_c7_elw_theorem():
     structure = quadratic2()
     elw = elw_connection(structure, mu)
     trivial = PoissonModule.trivial(2, 1)
-    cache = {}
+    cochains, chains = Grading(structure, elw, "cochain"), Grading(structure, trivial, "chain")
     for k in range(3):
         for w in range(-k, 9):
-            lhs = betti(structure, elw, "cochain", k, w, _cache=cache)
-            rhs = betti(structure, trivial, "chain", 2 - k, w + 2, _cache=cache)
+            lhs = betti(cochains, k, w)
+            rhs = betti(chains, 2 - k, w + 2)
             assert lhs == rhs, (k, w, lhs, rhs)
     ok(7, "top-form connection equals the modular twist; its cohomology is "
           "the untwisted homology")
@@ -298,11 +297,12 @@ def test_c8_zero_structure():
         assert chain_differential(
             structure, module, rand_chain_element(rng, 2, k, 2)
         ).is_zero()
+    cochains, chains = Grading(structure, module, "cochain"), Grading(structure, module, "chain")
     for k in range(3):
         for p in range(5):
             expected = 2 * math.comb(2, k) * math.comb(p + 1, 1)
-            assert betti(structure, module, "cochain", k, p - k) == expected
-            assert betti(structure, module, "chain", k, p + k) == expected
+            assert betti(cochains, k, p - k) == expected
+            assert betti(chains, k, p + k) == expected
     ok(8, "zero bivector: vanishing differentials, Betti = slice dimensions")
 
 

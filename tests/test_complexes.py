@@ -12,6 +12,7 @@ from poishom import (
     DimensionError,
     Form,
     GradedModeError,
+    Grading,
     ModuleChainElement,
     ModuleCochainElement,
     MultiVector,
@@ -27,7 +28,6 @@ from poishom import (
     blacktriangle_basis,
     chain_differential,
     cochain_differential,
-    graded_weight_shift,
     interior_product,
     slice_basis,
     twist,
@@ -364,18 +364,34 @@ def _line_over_zero(b_x, b_y):
 
 
 def test_graded_shift_values():
-    assert graded_weight_shift(symplectic2(), PoissonModule.trivial(2, 1)) == -2
-    assert graded_weight_shift(quadratic2(), quadratic_rank2(quadratic2())) == 0
-    assert graded_weight_shift(so3(), PoissonModule.trivial(3, 2)) == -1
-    assert graded_weight_shift(zero2(), PoissonModule.trivial(2, 1)) == 0
-    # a zero bivector leaves the shift to the bracket degree m: m - 1
-    assert graded_weight_shift(zero2(), _line_over_zero("x^2", "0")) == 1
+    for kind, step in (("cochain", 1), ("chain", -1)):
+        def shift(structure, module):
+            grading = Grading(structure, module, kind)
+            assert grading.step == step and grading.kind == kind
+            return grading.shift
+
+        assert shift(symplectic2(), PoissonModule.trivial(2, 1)) == -2
+        assert shift(quadratic2(), quadratic_rank2(quadratic2())) == 0
+        assert shift(so3(), PoissonModule.trivial(3, 2)) == -1
+        assert shift(zero2(), PoissonModule.trivial(2, 1)) == 0
+        # a zero bivector leaves the shift to the bracket degree m: m - 1
+        assert shift(zero2(), _line_over_zero("x^2", "0")) == 1
+
+
+def test_grading_refuses_an_unknown_kind_and_is_immutable():
+    P, W = so3(), PoissonModule.trivial(3, 1)
+    for kind in ("cochains", "homology", ""):
+        with pytest.raises(ValueError, match=f"unknown kind {kind!r}"):
+            Grading(P, W, kind)
+    grading = Grading(P, W, "chain")
+    with pytest.raises(AttributeError):
+        grading.shift = 0
 
 
 # The messages below reach DualityReport.graded_note and the CLI's exit-2 text.
 def _refusal(structure, module):
     with pytest.raises(GradedModeError) as err:
-        graded_weight_shift(structure, module)
+        Grading(structure, module, "cochain")
     return str(err.value)
 
 
@@ -431,14 +447,14 @@ def test_slice_basis_deterministic_and_matches_elements():
 
 def test_assemble_slice_zero_structure():
     # coefficient degree w + k = 3: C(2,1) tuples * 4 monomials
-    piece = assemble_slice(zero2(), PoissonModule.trivial(2, 1), "cochain", 1, 2)
+    piece = assemble_slice(Grading(zero2(), PoissonModule.trivial(2, 1), "cochain"), 1, 2)
     assert len(piece.domain_basis) == 2 * 4
     assert all(all(c == 0 for c in row) for row in piece.matrix)
 
 
 def test_assemble_slice_symplectic_weight_one_functions():
     # delta^0 on span{x, y} has rank 2
-    piece = assemble_slice(symplectic2(), PoissonModule.trivial(2, 1), "cochain", 0, 1)
+    piece = assemble_slice(Grading(symplectic2(), PoissonModule.trivial(2, 1), "cochain"), 0, 1)
     assert len(piece.domain_basis) == 2
     assert len(piece.codomain_basis) == 2
     from poishom import matrix_rank
@@ -449,8 +465,8 @@ def test_assemble_slice_symplectic_weight_one_functions():
 def test_assemble_slice_deterministic():
     P = quadratic2()
     W = quadratic_rank2(P)
-    a = assemble_slice(P, W, "chain", 1, 3)
-    b = assemble_slice(P, W, "chain", 1, 3)
+    a = assemble_slice(Grading(P, W, "chain"), 1, 3)
+    b = assemble_slice(Grading(P, W, "chain"), 1, 3)
     assert a.matrix == b.matrix and a.domain_basis == b.domain_basis
 
 
@@ -460,7 +476,7 @@ def test_assemble_slice_rejects_image_outside_the_codomain_slice(monkeypatch):
     entry = slice_basis(PoissonModule.trivial(2, 1), "cochain", 0, 1)[0]
     message = f"image of {entry} leaves the expected slice at {stray}"
     with pytest.raises(GradedModeError, match=re.escape(message)):
-        assemble_slice(symplectic2(), PoissonModule.trivial(2, 1), "cochain", 0, 1)
+        assemble_slice(Grading(symplectic2(), PoissonModule.trivial(2, 1), "cochain"), 0, 1)
 
 
 def _rebuild(module, kind, degree, image):

@@ -11,6 +11,7 @@ from poishom import (
     ComplexSlice,
     FlatnessError,
     Form,
+    Grading,
     ModuleChainElement,
     MultiVector,
     PoissonModule,
@@ -25,8 +26,8 @@ from poishom import (
     chain_differential,
     cochain_differential,
     elw_connection,
-    graded_weight_shift,
     matrix_rank,
+    monomials_of_degree,
     slice_basis,
     twist,
     verify_duality,
@@ -43,6 +44,8 @@ from catalog import (
     lie_poisson,
     line1,
     line_rank1,
+    log_canonical,
+    log_canonical_cases,
     p2,
     quadratic2,
     quadratic_rank2,
@@ -209,7 +212,7 @@ def test_rank_agrees_with_oracle_on_catalog_slices():
                 for weight in range(-degree, 5):
                     if not slice_basis(module, kind, degree, weight):
                         continue
-                    piece = assemble_slice(structure, module, kind, degree, weight)
+                    piece = assemble_slice(Grading(structure, module, kind), degree, weight)
                     matrix = piece.matrix
                     assert matrix_rank(piece.columns) == rank_oracle(matrix), (
                         label, kind, degree, weight
@@ -251,7 +254,7 @@ def test_zero_structure_betti_equals_slice_dimension():
         for p in range(4):
             weight = p - k
             dim = 2 * math.comb(2, k) * math.comb(p + 1, 1)
-            assert betti(P, W, "cochain", k, weight) == dim
+            assert betti(Grading(P, W, "cochain"), k, weight) == dim
             assert len(slice_basis(W, "cochain", k, weight)) == dim
 
 
@@ -266,11 +269,11 @@ def test_symplectic_homology_matches_shifted_cohomology():
     # unimodular case: dim HP_k at weight w+2 equals dim HP^{2-k} at weight w
     P = symplectic2()
     W = PoissonModule.trivial(2, 1)
-    cache = {}
+    chains, cochains = Grading(P, W, "chain"), Grading(P, W, "cochain")
     for k in range(3):
         for w in range(-2, 7):
-            lhs = betti(P, W, "chain", 2 - k, w + 2, _cache=cache)
-            rhs = betti(P, W, "cochain", k, w, _cache=cache)
+            lhs = betti(chains, 2 - k, w + 2)
+            rhs = betti(cochains, k, w)
             assert lhs == rhs
 
 
@@ -358,7 +361,8 @@ def test_lie_poisson_constant_slices_give_lie_algebra_betti_numbers():
     algebra, (1, 1, 0, 0) for Bianchi V, which is not unimodular."""
     W = PoissonModule.trivial(3, 1)
     for structure, expected in [(heisenberg3(), [1, 2, 2, 1]), (bianchi5(), [1, 1, 0, 0])]:
-        assert [betti(structure, W, "cochain", k, -k) for k in range(4)] == expected
+        grading = Grading(structure, W, "cochain")
+        assert [betti(grading, k, -k) for k in range(4)] == expected
 
 
 def test_verify_duality_bianchi5_twists_the_trivial_line():
@@ -397,6 +401,93 @@ def test_line_betti_numbers_and_duality_closed_forms():
         assert report.ok() and len(report.betti_pairs) == 13
 
 
+def _log_canonical_dim(q, c, kind, degree, weight):
+    """The closed form of slice (degree, weight), from the docstring below."""
+    n = len(q)
+    total = 0
+    for c_a in c:
+        if kind == "cochain":  # beta >= -1, found as beta + 1 >= 0
+            vectors = [[e - 1 for e in shifted] for shifted in monomials_of_degree(n, weight + n)]
+        else:
+            vectors = monomials_of_degree(n, weight)
+        for v in vectors:
+            lam = [c_a[j] + sum(q[i][j] * v[i] for i in range(n)) for j in range(n)]
+            if kind == "cochain":
+                low = v.count(-1)
+                if degree >= low and all(lam[j] == 0 for j in range(n) if v[j] != -1):
+                    total += math.comb(n - low, degree - low)
+            else:
+                support = [j for j in range(n) if v[j]]
+                if all(lam[j] == 0 for j in support):
+                    total += math.comb(len(support), degree)
+    return total
+
+
+def test_log_canonical_betti_tables_match_closed_forms():
+    """pi = sum_{i<j} q_ij x_i x_j Dx_i ^ Dx_j with q skew and integral, and
+    the diagonal module {e_a, x_j} = c_aj x_j e_a (``catalog.log_canonical``).
+
+    In the Euler fields theta_i = x_i Dx_i, which commute, pi = sum_{i<j}
+    q_ij theta_i ^ theta_j is constant, and {x^beta, x_j} = (q^T beta)_j
+    x^beta x_j for every exponent vector beta. So both differentials keep
+    the multidegree, and on x^beta e_a they act through the one vector
+    lambda_a(beta) = c_a + q^T beta: by the wedge with it on cochains and the
+    contraction by it on chains, up to signs that change no kernel or image.
+    A wedge or a contraction by a vector is exact unless the vector is zero.
+
+    Cochains: x^beta theta_I e_a = x^(beta + e_I) Dx_I e_a is polynomial iff
+    beta >= -1 and N(beta) = {i : beta_i = -1} lies inside I, and its weight
+    is |beta|. For fixed beta the complex is theta_N ^ Lambda(theta_j, j not
+    in N) with the wedge by lambda restricted to those j, so
+
+        dim HP^k_w = sum_a sum_{|beta| = w, beta >= -1}
+                     [lambda_a(beta)_j = 0 for all j not in N(beta)]
+                     C(n - |N(beta)|, k - |N(beta)|).
+
+    Chains: with eta_i = dx_i / x_i, x^gamma eta_I e_a is polynomial iff
+    gamma >= 0 and I lies inside supp gamma, and its weight is |gamma|, so
+
+        dim HP_{k,w} = sum_a sum_{|gamma| = w, gamma >= 0}
+                       [lambda_a(gamma) vanishes on supp gamma] C(|supp gamma|, k).
+
+    The duality holds pair by pair. The modular field is phi = -sum_i
+    (q 1)_i theta_i, so the twist by -phi turns c_a into c_a + q 1; with
+    gamma = beta + 1 the chain vector c_a + q 1 + q^T (beta + 1) is
+    lambda_a(beta), as q^T = -q, and supp gamma is the complement of N(beta).
+    For n = 2 these are the log-canonical structures of Roger and Vanhaecke,
+    "Poisson cohomology of the affine plane", J. Algebra 251 (2002).
+    """
+    mu = VolumeForm()
+    for q, c in log_canonical_cases():
+        P, W = log_canonical(q, c)
+        n = P.nvars
+        assert [P.modular_vector_field(mu).evaluate(x) for x in P.coordinates] == [
+            x.scale(-sum(row)) for x, row in zip(P.coordinates, q)
+        ]
+        for kind, slice_kind in (("cohomology", "cochain"), ("homology", "chain")):
+            entries = betti_table(P, W, kind, 3).entries
+            assert len(entries) == sum(4 + (k if kind == "cohomology" else -k)
+                                       for k in range(n + 1))
+            expected = {key: _log_canonical_dim(q, c, slice_kind, *key) for key in entries}
+            assert entries == expected, (q, c, kind)
+        assert verify_duality(P, W, mu, 2, 0, 0).ok(), (q, c)
+
+
+def test_twisted_chain_grading_has_the_cochain_shift():
+    # verify_duality pairs cochain slice (k, w) of W with chain slice
+    # (n-k, w+n) of the twisted module, two different gates: the pairing
+    # needs the twist by -phi to keep the weight shift
+    mu = VolumeForm()
+    cases = [(P, W) for _, P, W, _, _ in graded_catalog()]
+    cases += [log_canonical(q, c) for q, c in log_canonical_cases()]
+    line = line1()
+    cases += [(line, PoissonModule.trivial(1, 1))]
+    cases += [(line, line_rank1(line, 3, m)) for m in range(4)]
+    for P, W in cases:
+        twisted = twist(W, P, -P.modular_vector_field(mu))
+        assert Grading(P, twisted, "chain").shift == Grading(P, W, "cochain").shift
+
+
 def test_symplectic_r4_cohomology_is_constants():
     """{x1,x2} = {x3,x4} = 1 on R^4: for a symplectic structure the Poisson
     complex is the de Rham complex (Lichnerowicz, "Les varietes de Poisson
@@ -419,8 +510,8 @@ def test_fermat_jacobian_casimirs():
         (0, 1): f.partial(2), (1, 2): f.partial(0), (0, 2): -f.partial(1),
     }))
     W = PoissonModule.trivial(3, 1)
-    cache = {}
-    assert [betti(structure, W, "cochain", 0, w, _cache=cache) for w in range(7)] == [
+    grading = Grading(structure, W, "cochain")
+    assert [betti(grading, 0, w) for w in range(7)] == [
         1, 0, 0, 1, 0, 0, 1
     ]
 
@@ -430,11 +521,11 @@ def test_betti_independent_of_basis_order():
     P = quadratic2()
     W = quadratic_rank2(P)
     rng = random.Random(29)
-    shift = graded_weight_shift(P, W)
     for kind, degree, weight in [("cochain", 1, 2), ("chain", 1, 3)]:
-        outgoing = assemble_slice(P, W, kind, degree, weight)
+        grading = Grading(P, W, kind)
+        outgoing = assemble_slice(grading, degree, weight)
         incoming_degree = degree - 1 if kind == "cochain" else degree + 1
-        incoming = assemble_slice(P, W, kind, incoming_degree, weight - shift)
+        incoming = assemble_slice(grading, incoming_degree, weight - grading.shift)
 
         def permuted_rank(piece):
             rows = [list(r) for r in piece.matrix]
@@ -444,7 +535,7 @@ def test_betti_independent_of_basis_order():
             shuffled = [[row[c] for c in cols] for row in rows]
             return matrix_rank(sparse_rows(shuffled))
 
-        direct = betti(P, W, kind, degree, weight)
+        direct = betti(grading, degree, weight)
         if outgoing.matrix and incoming.matrix:
             recomputed = (
                 len(outgoing.domain_basis)
@@ -463,15 +554,14 @@ def test_euler_characteristic_per_weight_line():
         (so3(), PoissonModule.trivial(3, 1), 5),
     ]:
         n = P.nvars
-        shift = graded_weight_shift(P, W)
-        cache = {}
+        grading = Grading(P, W, "cochain")
         for w0 in range(-n, cap):
             dims = 0
             bettis = 0
             for k in range(n + 1):
-                w = w0 + k * shift
+                w = w0 + k * grading.shift
                 dims += (-1) ** k * len(slice_basis(W, "cochain", k, w))
-                bettis += (-1) ** k * betti(P, W, "cochain", k, w, _cache=cache)
+                bettis += (-1) ** k * betti(grading, k, w)
             assert dims == bettis
 
 
@@ -532,13 +622,9 @@ def test_verify_duality_elw_gives_untwisted_homology():
     assert twist(E, P, -phi) == PoissonModule.trivial(2, 1)
     report = verify_duality(P, E, mu, 6, 10, 5)
     assert report.ok()
-    trivial = PoissonModule.trivial(2, 1)
-    cache = {}
+    chains = Grading(P, PoissonModule.trivial(2, 1), "chain")
     for pair in report.betti_pairs:
-        direct = betti(
-            P, trivial, "chain", pair["homology_degree"], pair["homology_weight"],
-            _cache=cache,
-        )
+        direct = betti(chains, pair["homology_degree"], pair["homology_weight"])
         assert pair["homology_dim"] == direct
         assert pair["cohomology_dim"] == direct
 
@@ -603,27 +689,44 @@ def test_duality_report_is_frozen_and_derives_its_counts():
 
 
 def test_each_slice_is_assembled_at_most_once_per_run(monkeypatch):
-    # the Betti-level pass reads the ranks the chain-level pass recorded
+    # the Betti-level pass reads the ranks the chain-level pass recorded, and
+    # each run decides graded mode once per complex: one Grading for a Betti
+    # table, one each for the cochains and the twisted chains of a duality
+    # check, and one refused attempt outside graded mode
     from poishom import homology
 
-    calls = []
-    assemble = homology.assemble_slice
+    calls, built = [], []
+    assemble, grading = homology.assemble_slice, homology.Grading
 
-    def recording(structure, module, kind, degree, weight):
-        calls.append((module, kind, degree, weight))
-        return assemble(structure, module, kind, degree, weight)
+    def recording(grading, degree, weight):
+        calls.append((grading.module, grading.kind, degree, weight))
+        return assemble(grading, degree, weight)
+
+    def counting(structure, module, kind):
+        built.append(kind)
+        return grading(structure, module, kind)
 
     monkeypatch.setattr(homology, "assemble_slice", recording)
+    monkeypatch.setattr(homology, "Grading", counting)
     P = quadratic2()
     runs = [
-        lambda: verify_duality(so3(), PoissonModule.trivial(3, 1), VolumeForm(), 3, 0, 0),
-        lambda: verify_duality(P, quadratic_rank2(P), VolumeForm(), 3, 0, 0),
-        lambda: betti_table(so3(), PoissonModule.trivial(3, 1), "cohomology", 3),
+        (lambda: verify_duality(so3(), PoissonModule.trivial(3, 1), VolumeForm(), 3, 0, 0),
+         ["cochain", "chain"]),
+        (lambda: verify_duality(P, quadratic_rank2(P), VolumeForm(), 3, 0, 0),
+         ["cochain", "chain"]),
+        (lambda: betti_table(so3(), PoissonModule.trivial(3, 1), "cohomology", 3), ["cochain"]),
+        (lambda: betti_table(P, quadratic_rank2(P), "homology", 3), ["chain"]),
     ]
-    for run in runs:
+    for run, gradings in runs:
         calls.clear()
+        built.clear()
         run()
         assert calls and len(calls) == len(set(calls))
+        assert built == gradings
+    calls.clear()
+    built.clear()
+    verify_duality(generic2(), PoissonModule.trivial(2, 1), VolumeForm(), 2, 0, 0)
+    assert built == ["cochain"] and not calls
 
 
 def test_report_serialization_is_json_friendly():
