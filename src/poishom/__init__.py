@@ -24,7 +24,6 @@ from .complexes import (
     assemble_slice,
     basis_image,
     blacktriangle,
-    blacktriangle_basis,
     chain_differential,
     cochain_differential,
     slice_basis,
@@ -87,7 +86,6 @@ __all__ = [
     "betti",
     "betti_table",
     "blacktriangle",
-    "blacktriangle_basis",
     "chain_differential",
     "cochain_differential",
     "elw_connection",

@@ -424,7 +424,7 @@ def main(argv=None) -> int:
     except CheckError as exc:
         run.fail(exc.payload(run.names))
     except GradedModeError as exc:
-        print(f"graded-mode violation: {exc}", file=sys.stderr)
+        print(f"graded-mode violation: {exc.text(run.names)}", file=sys.stderr)
         return EXIT_MODE
     except PoishomError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -48,6 +48,22 @@ of p scaled by alpha_p. The only sign rules are those of the object-level
 calculus: the two reference differentials, like the wedges and contractions,
 take every shuffle sign from ``calculus.wedge_indices``.
 
+Packed keys: the kernel names the basis vector e_a (x) x^alpha D_I (or dx_I)
+by one int,
+
+    key = ((a << n | mask(I)) << (B n)) + sum_i alpha_i << (B i),
+
+with mask(I) = sum_{i in I} 2^i and B = 32 bits per exponent. The tables
+hold (key of a term minus 2^(B p) for the symbol of p, coefficient), so the
+column of x^alpha b adds the key of x^alpha to each offset: a shift is one
+integer addition. No sum carries from one field into the next: every
+exponent of every column stays in [0, 2^B), as a lowered exponent is only
+used with alpha_p >= 1 and ``_kernel`` refuses with ``DimensionError`` a
+coefficient degree that, plus the largest table degree, reaches 2^(B-1).
+The duality map relabels I by its complement and keeps a and alpha, so on a
+key it is key ^ FLIP with FLIP = (2^n - 1) << (B n), times a sign that
+depends on mask(I) alone (``_blacktriangle_keys``).
+
 Weight grading: weight(x_i) = weight(dx_i) = +1, weight(d/dx_i) = -1. When
 the bivector is homogeneous of coefficient degree d and every bracket entry
 is homogeneous of degree d-1, both differentials shift weight by exactly
@@ -59,7 +75,6 @@ the duality check both read.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from itertools import combinations
 from typing import NamedTuple
@@ -172,11 +187,16 @@ def blacktriangle(mu: VolumeForm, element: ModuleCochainElement) -> ModuleChainE
                                for c in element.components])
 
 
-def blacktriangle_basis(mu: VolumeForm, n: int, entry: BasisElement):
-    """``blacktriangle`` of one cochain basis vector, as (chain basis vector, coefficient)."""
-    complement, coefficient = mu.contract(entry.indices, n)
-    return (BasisElement(entry.section, complement, entry.exponents),
-            coefficient * _triangle_sign(len(entry.indices)))
+def _blacktriangle_keys(mu: VolumeForm, n: int):
+    """``blacktriangle`` on packed keys, as a function from a column {cochain
+    key: coefficient} to its image {chain key: coefficient}: each key goes to
+    key ^ FLIP, times the sign of its index mask (module docstring)."""
+    subsets = (tuple(i for i in range(n) if mask >> i & 1) for mask in range(1 << n))
+    signs = [mu.contract(idx, n)[1] * _triangle_sign(len(idx)) for idx in subsets]
+    shift, full = _B * n, (1 << n) - 1
+    flip = full << shift
+    return lambda column: {key ^ flip: signs[key >> shift & full] * c
+                           for key, c in column.items()}
 
 
 # ----------------------------------------------------------------------
@@ -189,6 +209,28 @@ class BasisElement(NamedTuple):
     section: int
     indices: tuple
     exponents: tuple
+
+
+_B = 32  # bits per exponent in a packed key (module docstring)
+_EXPONENT = (1 << _B) - 1
+
+
+def _pack(n: int, section: int, indices, exponents=()) -> int:
+    """The packed key of e_section (x) x^exponents over the tuple ``indices``."""
+    head = section << n
+    for i in indices:
+        head |= 1 << i
+    key = head << (_B * n)
+    for i, e in enumerate(exponents):
+        key += e << (_B * i)
+    return key
+
+
+def _unpack(n: int, key: int) -> BasisElement:
+    """The basis vector of a packed key."""
+    head = key >> (_B * n)
+    return BasisElement(head >> n, tuple(i for i in range(n) if head >> i & 1),
+                        tuple(key >> (_B * i) & _EXPONENT for i in range(n)))
 
 
 class Grading:
@@ -213,10 +255,12 @@ class Grading:
             ((entry for m in module.brackets for row in m for entry in row),
              "bracket entries have mixed homogeneous degrees"),
         ):
-            try:
-                found = {poly.homogeneous_degree() for poly in polys if poly}
-            except ValueError as exc:  # a polynomial that is not homogeneous
-                raise GradedModeError(str(exc)) from exc
+            found = set()
+            for poly in filter(None, polys):
+                try:
+                    found.add(poly.homogeneous_degree())
+                except ValueError as exc:
+                    raise GradedModeError("polynomial {} is not homogeneous", poly) from exc
             if len(found) > 1:
                 raise GradedModeError(mixed)
             degrees.append(found.pop() if found else None)
@@ -241,27 +285,41 @@ class Grading:
         raise AttributeError("Grading is immutable")
 
 
+def _coefficient_degree(kind: str, degree: int, weight: int) -> int:
+    """|alpha| on the slice (degree, weight): w + k on cochains, w - q on chains."""
+    return weight + degree if kind == "cochain" else weight - degree
+
+
+def _heads(module: PoissonModule, degree: int) -> list:
+    """The packed keys of the constant basis vectors e_a (x) I with |I| = degree."""
+    n = module.nvars
+    return [_pack(n, a, idx) for a in range(module.rank)
+            for idx in (combinations(range(n), degree) if degree >= 0 else ())]
+
+
+def _slice_keys(module: PoissonModule, kind: str, degree: int, weight: int) -> list:
+    """The packed keys of one weight slice's basis, in ``slice_basis`` order."""
+    n = module.nvars
+    coeff_degree = _coefficient_degree(kind, degree, weight)
+    heads = _heads(module, degree)
+    if not heads or coeff_degree < 0:
+        return []
+    monomials = [_pack(n, 0, (), exps) for exps in monomials_of_degree(n, coeff_degree)]
+    return [head + monomial for head in heads for monomial in monomials]
+
+
 def slice_basis(module: PoissonModule, kind: str, degree: int, weight: int):
     """Ordered monomial basis of one weight slice.
 
     Cochain slice (k, w): sections e_a (x) x^alpha Dx_I with |I| = k and
     |alpha| = w + k. Chain slice (q, w): e_a (x) x^alpha dx_I with |alpha| =
     w - q. Order: section, then index tuple (lex), then exponents
-    (lex-descending), matching the printing order of polynomials.
+    (lex-descending), matching the printing order of polynomials. These are
+    the decoded keys of ``ComplexSlice``, in its order.
     """
     if kind not in ("chain", "cochain"):
         raise ValueError(f"unknown kind {kind!r}")
-    n = module.nvars
-    k = degree
-    coeff_degree = weight + k if kind == "cochain" else weight - k
-    if k < 0 or k > n or coeff_degree < 0:
-        return []
-    return [
-        BasisElement(a, idx, exps)
-        for a in range(module.rank)
-        for idx in combinations(range(n), k)
-        for exps in monomials_of_degree(n, coeff_degree)
-    ]
+    return [_unpack(module.nvars, key) for key in _slice_keys(module, kind, degree, weight)]
 
 
 def element_from_basis(module: PoissonModule, kind: str, degree: int,
@@ -279,23 +337,25 @@ def element_from_basis(module: PoissonModule, kind: str, degree: int,
 class ComplexSlice:
     """One differential restricted to a weight slice, as sparse columns.
 
-    ``columns`` holds one {codomain BasisElement: coefficient} per domain
-    basis vector, in the order of ``domain_basis``: the nonzero coefficients
-    of its image, keyed by the ``codomain_basis`` objects themselves.
+    ``domain_basis`` and ``codomain_basis`` are the packed keys (module
+    docstring) of the two slice bases, in ``slice_basis`` order; ``columns``
+    holds one {codomain key: coefficient} per domain basis vector, in the
+    order of ``domain_basis``: the nonzero coefficients of its image.
     ``matrix`` derives the dense rows on demand, with int zeros; only
     ``bench/tracing.py``'s slice statistics and the tests read it.
     """
 
     degree: int
     weight: int
-    domain_basis: tuple
-    codomain_basis: tuple
-    columns: tuple  # one {codomain BasisElement: coefficient} per domain vector
+    domain_basis: tuple  # packed keys
+    codomain_basis: tuple  # packed keys
+    columns: tuple  # one {codomain key: coefficient} per domain vector
 
     @property
     def matrix(self) -> tuple:
-        """Dense rows: entry (row, col) is the coefficient of codomain_basis[row] in column col."""
-        index = {entry: row for row, entry in enumerate(self.codomain_basis)}
+        """Dense rows: entry (row, col) is the coefficient of the packed key
+        codomain_basis[row] in column col."""
+        index = {key: row for row, key in enumerate(self.codomain_basis)}
         rows = [[0] * len(self.columns) for _ in self.codomain_basis]
         for col, column in enumerate(self.columns):
             for key, coeff in column.items():
@@ -303,34 +363,37 @@ class ComplexSlice:
         return tuple(tuple(row) for row in rows)
 
 
-def _table(sections, lower: int | None = None) -> tuple:
-    """The terms of (section, form or multivector) pairs as (section, indices,
-    exponents, coefficient), exponents lowered by e_lower if it is given."""
-    return tuple(
-        (b, idx, exps if lower is None else exps[:lower] + (exps[lower] - 1,) + exps[lower + 1:],
-         coeff)
-        for b, comp in sections
-        for idx, poly in comp.terms.items()
-        for exps, coeff in poly.terms.items()
-    )
+def _table(n: int, sections, drop: int = 0) -> tuple:
+    """(table, degree): the terms of (section, form or multivector) pairs as
+    (packed key - ``drop``, coefficient), and their largest coefficient degree."""
+    table, top = [], 0
+    for b, comp in sections:
+        for idx, poly in comp.terms.items():
+            for exps, coeff in poly.terms.items():
+                table.append((_pack(n, b, idx, exps) - drop, coeff))
+                top = max(top, sum(exps))
+    return tuple(table), top
 
 
 def _column_tables(structure: PoissonStructure, module: PoissonModule, kind: str,
-                   a: int, idx: tuple) -> tuple:
-    """The tables of the first-order rule (module docstring) for b = e_a (x) I.
+                   head: int) -> tuple:
+    """(degree, tables) of the first-order rule (module docstring) for the
+    constant basis vector b = e_a (x) I of packed key ``head``.
 
     Table 0 is D(b), one ``cochain_differential`` or ``chain_differential``
     image of the constant basis vector; table 1 + p is the symbol
     sigma_p(b), X_{x_p} ^ D_I e_a on cochains and -iota_{X_{x_p}} dx_I e_a
-    on chains, with exponents lowered by e_p. Each holds (b, indices,
-    exponents, coefficient) and all are kept per (kind, module, a, I) on
-    ``structure``.
+    on chains, with exponents lowered by e_p: its offsets are packed keys
+    minus 2^(B p). Each holds (offset, coefficient); degree is the largest
+    coefficient degree of their terms. Both are kept per (kind, module, head)
+    on ``structure``.
     """
-    key = (kind, module, a, idx)
-    tables = structure._columns.get(key)
-    if tables is None:
+    key = (kind, module, head)
+    found = structure._columns.get(key)
+    if found is None:
         n = module.nvars
-        constant = element_from_basis(module, kind, len(idx), BasisElement(a, idx, (0,) * n))
+        a, idx, _ = entry = _unpack(n, head)
+        constant = element_from_basis(module, kind, len(idx), entry)
         comp = constant.components[a]
         if kind == "cochain":
             image = cochain_differential(structure, module, constant)
@@ -338,56 +401,95 @@ def _column_tables(structure: PoissonStructure, module: PoissonModule, kind: str
         else:
             image = chain_differential(structure, module, constant)
             symbols = [-interior_product(field, comp) for field in structure._hamiltonians]
-        tables = structure._columns[key] = (
-            _table(enumerate(image.components)),
-            *(_table([(a, symbol)], p) for p, symbol in enumerate(symbols)),
-        )
-    return tables
+        pieces = [_table(n, enumerate(image.components)),
+                  *(_table(n, [(a, symbol)], 1 << (_B * p)) for p, symbol in enumerate(symbols))]
+        found = structure._columns[key] = (max(top for _, top in pieces),
+                                           tuple(table for table, _ in pieces))
+    return found
+
+
+def _kernel(structure: PoissonStructure, module: PoissonModule, kind: str,
+            degree: int, coeff_degree: int):
+    """The differential on the ``kind`` basis vectors of ``degree`` with
+    coefficient degree ``coeff_degree``, as a function from a packed key to
+    its column {packed key: coefficient}.
+
+    The gates run here, once: the kind, flatness, the variable counts and
+    the headroom of the packed sums, ``DimensionError`` when coeff_degree
+    plus the largest table degree reaches 2^(B-1). The column of x^alpha b
+    is the first-order rule of the module docstring on the tables of b: the
+    key of x^alpha plus each offset of D(b), and plus each offset of the
+    symbol of p, scaled by alpha_p.
+    """
+    if kind not in ("chain", "cochain"):
+        raise ValueError(f"unknown kind {kind!r}")
+    _require_flat(module, structure)
+    n = module.nvars
+    if structure.nvars != n:
+        raise DimensionError("mismatched variable counts")
+    found = {head: _column_tables(structure, module, kind, head)
+             for head in _heads(module, degree)}
+    if coeff_degree + max((top for top, _ in found.values()), default=0) >= 1 << (_B - 1):
+        raise DimensionError(f"coefficient degree {coeff_degree} overflows a packed key")
+    tables = {head: tables for head, (_, tables) in found.items()}
+    low = (1 << (_B * n)) - 1
+    places = range(0, _B * n, _B)
+
+    def column(key: int) -> dict:
+        monomial = key & low
+        image, *symbols = tables[key - monomial]
+        out = {}
+        get = out.get
+        for offset, coeff in image:
+            target = monomial + offset
+            out[target] = get(target, 0) + coeff
+        for place, symbol in zip(places, symbols):
+            scale = monomial >> place & _EXPONENT
+            if scale:
+                for offset, coeff in symbol:
+                    target = monomial + offset
+                    out[target] = get(target, 0) + scale * coeff
+        return {target: c for target, c in out.items() if c}
+
+    return column
 
 
 def basis_image(structure: PoissonStructure, module: PoissonModule, kind: str,
                 degree: int, entry: BasisElement) -> dict:
     """Image of one basis vector under the differential, as {BasisElement: coefficient}.
 
-    Slice assembly and the chain-level duality check both read the
-    differentials through this function. The column of x^alpha b follows
-    the first-order rule of the module docstring from the tables of b
-    (``_column_tables``): the reference image D(b) shifted by x^alpha, plus
-    alpha_p times the symbol table of p, shifted by x^(alpha - e_p). It
-    checks flatness, the variable counts and the shape of ``entry`` on
-    every call.
+    The decoded view of the packed kernel (``_kernel``) that slice assembly
+    and the duality check read, with the kernel's gates. It also checks
+    that ``entry`` is a basis vector of ``degree``: a section of the module,
+    increasing indices in 0..n-1 and n non-negative exponents, so that it
+    packs and decodes back to itself.
     """
-    if kind not in ("chain", "cochain"):
-        raise ValueError(f"unknown kind {kind!r}")
-    _require_flat(module, structure)
     n = module.nvars
-    if structure.nvars != n or len(entry.indices) != degree or len(entry.exponents) != n:
+    if (len(entry.indices) != degree or not 0 <= entry.section < module.rank
+            or min(entry.indices, default=0) < 0 or _unpack(n, key := _pack(n, *entry)) != entry):
         raise DimensionError(f"{entry} is not a {kind} basis vector of degree {degree}")
-    a, idx, alpha = entry
-    out = defaultdict(int)
-    for scale, table in zip((1, *alpha), _column_tables(structure, module, kind, a, idx)):
-        if scale:
-            for b, joined, exps, coeff in table:
-                out[BasisElement(b, joined, tuple(map(int.__add__, alpha, exps)))] += scale * coeff
-    return {key: c for key, c in out.items() if c}
+    column = _kernel(structure, module, kind, degree, sum(entry.exponents))(key)
+    return {_unpack(n, image): c for image, c in column.items()}
 
 
 def assemble_slice(grading: Grading, degree: int, weight: int) -> ComplexSlice:
     """Columns of the differential of ``grading``'s complex leaving slice
-    (degree, weight); its codomain is slice (degree + step, weight + shift)."""
+    (degree, weight); its codomain is slice (degree + step, weight + shift).
+    The kernel's gates run once per slice; an image outside the codomain
+    raises ``GradedModeError``."""
     structure, module, kind = grading.structure, grading.module, grading.kind
-    domain = slice_basis(module, kind, degree, weight)
-    codomain = slice_basis(module, kind, degree + grading.step, weight + grading.shift)
-    own = {entry: entry for entry in codomain}  # columns reuse the codomain key objects
+    n = module.nvars
+    column = _kernel(structure, module, kind, degree, _coefficient_degree(kind, degree, weight))
+    domain = _slice_keys(module, kind, degree, weight)
+    codomain = _slice_keys(module, kind, degree + grading.step, weight + grading.shift)
+    inside = set(codomain)
     columns = []
-    for entry in domain:
-        column = {}
-        for key, coeff in basis_image(structure, module, kind, degree, entry).items():
-            shared = own.get(key)
-            if shared is None:
-                raise GradedModeError(
-                    f"image of {entry} leaves the expected slice at {key}"
-                )
-            column[shared] = coeff
-        columns.append(column)
+    for key in domain:
+        image = column(key)
+        if not image.keys() <= inside:
+            stray = next(k for k in image if k not in inside)
+            raise GradedModeError(
+                f"image of {_unpack(n, key)} leaves the expected slice at {_unpack(n, stray)}"
+            )
+        columns.append(image)
     return ComplexSlice(degree, weight, tuple(domain), tuple(codomain), tuple(columns))

@@ -113,4 +113,19 @@ class ModularFieldError(CheckError):
 
 
 class GradedModeError(PoishomError):
-    """Graded-mode requirement violated (non-homogeneous input data)."""
+    """Graded-mode requirement violated (non-homogeneous input data).
+
+    ``polynomial`` is the polynomial that is not homogeneous, or None, and
+    ``text(names)`` is the message with it written in coordinate names
+    (x1..xn when ``names`` is None), as ``CheckError.payload`` names a
+    witness. The message is ``text()``.
+    """
+
+    def __init__(self, message: str, polynomial=None):
+        self.template, self.polynomial = message, polynomial
+        super().__init__(self.text())
+
+    def text(self, names=None) -> str:
+        if self.polynomial is None:
+            return self.template
+        return self.template.format(self.polynomial.text(names))

@@ -13,21 +13,21 @@ import hashlib
 import math
 import random
 from dataclasses import dataclass
-from functools import partial
 from itertools import combinations
 
 from . import __version__
 from .calculus import ModuleCochainElement, MultiVector
 from .complexes import (
     Grading,
+    _blacktriangle_keys,
+    _kernel,
+    _slice_keys,
+    _unpack,
     assemble_slice,
-    basis_image,
     blacktriangle,
-    blacktriangle_basis,
     chain_differential,
     cochain_differential,
     element_from_basis,
-    slice_basis,
 )
 from .errors import GradedModeError
 from .pmodule import PoissonModule, twist
@@ -97,12 +97,13 @@ def matrix_rank(matrix) -> int:
     included) or ``Fraction``s. Anything else, a float or ``None`` say,
     raises ``TypeError``, zero or not. The caller's mappings are not
     changed. A matrix has the rank of its transpose, so the columns of a
-    ``ComplexSlice`` are passed as its rows. The keys are numbered as they
-    are read, so union-find and elimination hash small ints. Each nonzero
-    row becomes a sparse primitive integer row, scaled by the lcm of its
-    denominators. Rows that share no column, directly or through other rows,
-    cannot affect each other's pivots, so the rows are split into such
-    blocks and the block ranks are added. Within a block, the row with the
+    ``ComplexSlice``, keyed by packed int basis keys, are passed as its
+    rows. The keys are numbered as they are read, so union-find and
+    elimination hash small ints. Each nonzero row becomes a sparse
+    primitive integer row, scaled by the lcm of its denominators. Rows that
+    share no column, directly or through other rows, cannot affect each
+    other's pivots, so the rows are split into such blocks and the block
+    ranks are added. Within a block, the row with the
     fewest nonzeros is the pivot row and its column found in the fewest
     remaining rows is the pivot column (Markowitz-style, to limit fill-in);
     every row meeting that column becomes lead*row - entry*pivot_row,
@@ -247,7 +248,7 @@ class DualityReport:
     diagram_total: int
     diagram_failures: list
     weight_shift: int | None  # None outside graded mode
-    graded_note: str
+    refusal: GradedModeError | None  # the graded-mode gate's, outside graded mode
     betti_pairs: list
 
     @property
@@ -269,6 +270,12 @@ class DualityReport:
     def ok(self) -> bool:
         return self.diagram_ok and self.betti_ok
 
+    def graded_note(self, names=None) -> str:
+        """Why the Betti pass was skipped, "" in graded mode; coordinates are
+        written in ``names`` (x1..xn when None)."""
+        return "" if self.refusal is None else (
+            f"Betti comparison skipped: {self.refusal.text(names)}")
+
     def to_dict(self, names=None) -> dict:
         def pt(p):
             return p.text(names)
@@ -289,7 +296,7 @@ class DualityReport:
             },
             "betti": {
                 "computed": self.graded,
-                "note": self.graded_note,
+                "note": self.graded_note(names),
                 "weight_shift": self.weight_shift,
                 "pairs": self.betti_pairs,
                 "failures": self.betti_failures,
@@ -341,11 +348,13 @@ def verify_duality(structure: PoissonStructure, module: PoissonModule,
     Chain-level pass: for every monomial basis vector e of the cochain
     slices (k, w) with w <= ``max_weight``, check exactly that the twisted
     chain differential of T e equals T of the cochain differential of e,
-    where T is ``blacktriangle``. T relabels and scales basis vectors, so
-    this compares columns: in graded mode (the ``Grading`` gates of W's
-    cochains and the twisted chains pass) those of the cochain slice (k, w)
-    and the twisted chain slice (n-k, w+n), whose ranks the gates keep;
-    otherwise those of ``basis_image``, and the note says why. Failing basis
+    where T is ``blacktriangle``. T relabels and scales basis vectors, on
+    packed keys key ^ FLIP times a sign read off the index mask, so this
+    compares columns keyed by packed ints: in graded mode (the ``Grading``
+    gates of W's cochains and the twisted chains pass) those of the cochain
+    slice (k, w) and the twisted chain slice (n-k, w+n), whose ranks the
+    gates keep; otherwise those of the packed kernel, one basis vector at a
+    time, and the report keeps the gate's refusal for its note. Failing basis
     vectors and the ``trials`` seeded random elements go through the
     object-level differentials, which give the witnesses. Betti-level pass
     (graded mode only), over the same (k, w): dim HP^k(W) at weight w must
@@ -358,10 +367,11 @@ def verify_duality(structure: PoissonStructure, module: PoissonModule,
     twisted = twist(module, structure, -phi)
     try:
         cochain_grading = Grading(structure, module, "cochain")
-        chain_grading, note = Grading(structure, twisted, "chain"), ""
+        chain_grading, refusal = Grading(structure, twisted, "chain"), None
     except GradedModeError as exc:
-        chain_grading, note = None, f"Betti comparison skipped: {exc}"
+        chain_grading, refusal = None, exc
 
+    triangle = _blacktriangle_keys(mu, n)
     slices = _slices("cochain", n, max_weight)
     checked = 0
     failures = []
@@ -374,18 +384,15 @@ def verify_duality(structure: PoissonStructure, module: PoissonModule,
             chains = assemble_slice(chain_grading, n - degree, weight + n)
             boundary = dict(zip(chains.domain_basis, chains.columns)).__getitem__
         else:  # one basis vector at a time
-            delta = ((e, basis_image(structure, module, "cochain", degree, e))
-                     for e in slice_basis(module, "cochain", degree, weight))
-            boundary = partial(basis_image, structure, twisted, "chain", n - degree)
-        for entry, image in delta:
+            coeff_degree = weight + degree
+            column = _kernel(structure, module, "cochain", degree, coeff_degree)
+            delta = ((key, column(key)) for key in _slice_keys(module, "cochain", degree, weight))
+            boundary = _kernel(structure, twisted, "chain", n - degree, coeff_degree)
+        for key, image in delta:
             checked += 1
-            target, scale = blacktriangle_basis(mu, n, entry)
-            rhs = {}
-            for key, coeff in image.items():
-                relabelled, sign = blacktriangle_basis(mu, n, key)
-                rhs[relabelled] = sign * coeff
-            if rhs != {key: scale * c for key, c in boundary(target).items()}:
-                element = element_from_basis(module, "cochain", degree, entry)
+            [(target, scale)] = triangle({key: 1}).items()
+            if triangle(image) != {k: scale * c for k, c in boundary(target).items()}:
+                element = element_from_basis(module, "cochain", degree, _unpack(n, key))
                 failures.append(_failure(
                     degree, element, *_diagram_check(structure, module, twisted, mu, element)
                 ))
@@ -429,6 +436,6 @@ def verify_duality(structure: PoissonStructure, module: PoissonModule,
         diagram_total=checked,
         diagram_failures=failures,
         weight_shift=None if chain_grading is None else cochain_grading.shift,
-        graded_note=note,
+        refusal=refusal,
         betti_pairs=pairs,
     )

@@ -75,8 +75,8 @@ class PoissonStructure:
         # the coordinate functions x_1..x_n, built once (a Poly is immutable)
         object.__setattr__(self, "coordinates", tuple(Poly.variable(n, i) for i in range(n)))
         object.__setattr__(self, "_modular", {})  # VolumeForm -> checked modular field
-        # (kind, module, section, index tuple) -> the column tables of
-        # ``complexes.basis_image``, filled on first use
+        # (kind, module, packed key of e_a (x) I) -> the column tables of
+        # ``complexes._column_tables``, filled on first use
         object.__setattr__(self, "_columns", {})
         x, br = self.coordinates, self.bracket
         for i, j, k in combinations(range(n), 3):

@@ -25,7 +25,6 @@ from poishom import (
     basis_image,
     betti_table,
     blacktriangle,
-    blacktriangle_basis,
     chain_differential,
     cochain_differential,
     interior_product,
@@ -33,7 +32,15 @@ from poishom import (
     twist,
 )
 from poishom.cli import load
-from poishom.complexes import element_from_basis
+from poishom.complexes import (
+    _B,
+    _blacktriangle_keys,
+    _kernel,
+    _pack,
+    _slice_keys,
+    _unpack,
+    element_from_basis,
+)
 
 from catalog import (
     bivector,
@@ -317,19 +324,49 @@ def test_blacktriangle_signs():
     assert blacktriangle(mu, x0) == single(1, 0, Form(2, 2, {(0, 1): p2("x")}))
 
 
+def _packed_triangle(mu, n):
+    """blacktriangle on one packed key, as (key ^ FLIP, coefficient)."""
+    triangle = _blacktriangle_keys(mu, n)
+    flip = ((1 << n) - 1) << (_B * n)
+
+    def image(key):
+        [(target, coeff)] = triangle({key: 1}).items()
+        assert target == key ^ flip
+        return target, coeff
+
+    return image
+
+
 def test_blacktriangle_basis_is_a_bijection_of_slice_bases():
     # (k, w) onto (n-k, w+n), one to one, with nonzero coefficients: the map is invertible
     for n, rank in [(2, 1), (2, 2), (3, 2), (4, 1)]:
         W = PoissonModule.trivial(n, rank)
         for mu in (VolumeForm(), VolumeForm(Fraction(-5, 3))):
+            triangle = _packed_triangle(mu, n)
             for k in range(n + 1):
                 for w in range(-k, 3):
-                    images = [blacktriangle_basis(mu, n, e)
-                              for e in slice_basis(W, "cochain", k, w)]
+                    images = [triangle(key) for key in _slice_keys(W, "cochain", k, w)]
                     assert images and all(coeff for _, coeff in images)
                     targets = [target for target, _ in images]
                     assert len(set(targets)) == len(targets)
-                    assert set(targets) == set(slice_basis(W, "chain", n - k, w + n))
+                    assert set(targets) == set(_slice_keys(W, "chain", n - k, w + n))
+
+
+def test_packed_blacktriangle_is_an_xor_with_a_sign_table():
+    # on every catalog cochain basis vector up to weight 3, key ^ FLIP times
+    # the sign of the index mask is the object-level blacktriangle
+    for _, P, W, _ in chain_catalog():
+        n = P.nvars
+        for mu in (VolumeForm(), VolumeForm(Fraction(-3, 2))):
+            triangle = _packed_triangle(mu, n)
+            for k in range(n + 1):
+                for w in range(-n, 4):
+                    for key in _slice_keys(W, "cochain", k, w):
+                        element = element_from_basis(W, "cochain", k, _unpack(n, key))
+                        target, coeff = triangle(key)
+                        image = element_from_basis(W, "chain", n - k, _unpack(n, target))
+                        assert blacktriangle(mu, element) == image.scale(coeff)
+                        assert _triangle(mu, element) == image.scale(coeff)
 
 
 def test_duality_square_on_random_elements():
@@ -472,7 +509,9 @@ def test_assemble_slice_deterministic():
 
 def test_assemble_slice_rejects_image_outside_the_codomain_slice(monkeypatch):
     stray = BasisElement(0, (0,), (5, 0))
-    monkeypatch.setattr("poishom.complexes.basis_image", lambda *args: {stray: Fraction(1)})
+    # every column of the packed kernel holds the key of ``stray``
+    monkeypatch.setattr("poishom.complexes._kernel",
+                        lambda *args: lambda key: {_pack(2, *stray): Fraction(1)})
     entry = slice_basis(PoissonModule.trivial(2, 1), "cochain", 0, 1)[0]
     message = f"image of {entry} leaves the expected slice at {stray}"
     with pytest.raises(GradedModeError, match=re.escape(message)):
@@ -510,9 +549,9 @@ def _kernel_cases():
 
 
 def test_basis_maps_match_object_level_on_catalog():
-    # every catalog basis vector up to weight 3, the cochain differential and
-    # blacktriangle's columns, against the object-level references (the cochain side
-    # against the coordinate-tuple oracle, not the function under test)
+    # every catalog basis vector up to weight 3, the cochain differential's
+    # columns, against the object-level references (the cochain side against
+    # the coordinate-tuple oracle, not the function under test)
     for _, P, W, _ in chain_catalog():
         n = P.nvars
         for k in range(n + 1):
@@ -524,11 +563,6 @@ def test_basis_maps_match_object_level_on_catalog():
                     assert all(image.values())
                     rebuilt = _rebuild(W, "cochain", k + 1, image)
                     assert expected.is_zero() if rebuilt is None else rebuilt == expected
-                    for mu in (VolumeForm(), VolumeForm(Fraction(-3, 2))):
-                        target, coeff = blacktriangle_basis(mu, n, entry)
-                        assert _triangle(mu, element) == element_from_basis(
-                            W, "chain", n - k, target
-                        ).scale(coeff)
     # both kinds of columns, built by the first-order rule, against the
     # object-level references (the chain side against the Koszul-operator
     # differential, the cochain side against the oracle), at every degree and
@@ -551,6 +585,42 @@ def test_basis_maps_match_object_level_on_catalog():
                     assert all(image.values())
                     rebuilt = _rebuild(W, "chain", q - 1, image)
                     assert expected.is_zero() if rebuilt is None else rebuilt == expected
+
+
+def test_packed_columns_at_a_high_coefficient_degree():
+    # R^1 with {e, x} = x^3 e: at x^(2^20) every exponent still fits its field
+    P = line1()
+    W = line_rank1(P, 1, 3)
+    alpha = 2**20
+    for kind, degree, reference in (("cochain", 0, cochain_differential),
+                                    ("cochain", 1, cochain_differential),
+                                    ("chain", 1, chain_differential)):
+        entry = BasisElement(0, (0,) * degree, (alpha,))
+        column = _kernel(P, W, kind, degree, alpha)(_pack(1, *entry))
+        image = {_unpack(1, key): c for key, c in column.items()}
+        assert image == basis_image(P, W, kind, degree, entry)
+        expected = reference(P, W, element_from_basis(W, kind, degree, entry))
+        target = degree + (1 if kind == "cochain" else -1)
+        rebuilt = _rebuild(W, kind, target, image)
+        assert expected.is_zero() if rebuilt is None else rebuilt == expected
+        assert (rebuilt is None) == (target > 1)  # +-x^(alpha+3) e below degree 2
+
+
+def test_packer_refuses_a_coefficient_degree_without_headroom():
+    # the coefficient degree plus the largest table degree must stay below 2^31
+    P = line1()
+    W = line_rank1(P, 1, 3)
+    for kind, degree in (("cochain", 0), ("chain", 1)):
+        with pytest.raises(DimensionError, match="overflows a packed key"):
+            basis_image(P, W, kind, degree, BasisElement(0, (0,) * degree, (2**31,)))
+    # refused before the slice is enumerated: so(3) has 2^61 monomials of this degree
+    S, trivial = so3(), PoissonModule.trivial(3, 1)
+    with pytest.raises(DimensionError, match="overflows a packed key"):
+        assemble_slice(Grading(S, trivial, "cochain"), 0, 2**31)
+    # so(3)'s chain tables in degree 1 have coefficient degree 1
+    with pytest.raises(DimensionError, match="overflows a packed key"):
+        _kernel(S, trivial, "chain", 1, 2**31 - 1)
+    assert _kernel(S, trivial, "chain", 1, 2**31 - 2)
 
 
 def test_chain_basis_image_keeps_the_gates():
@@ -580,9 +650,13 @@ def test_cochain_basis_image_keeps_the_gates():
         basis_image(so3(), PoissonModule.trivial(2, 1), "cochain", 1, entry)
     with pytest.raises(DimensionError):
         basis_image(P, W, "cochain", 2, entry)
-    for exponents in ((1,), (1, 0, 0)):
+    for exponents in ((1,), (1, 0, 0), (-1, 2)):
         with pytest.raises(DimensionError):
             basis_image(P, W, "cochain", 1, entry._replace(exponents=exponents))
+    for bad in (entry._replace(section=2), entry._replace(section=-1),
+                entry._replace(indices=(-1,)), entry._replace(indices=(2,))):
+        with pytest.raises(DimensionError):
+            basis_image(P, W, "cochain", 1, bad)
 
 
 @pytest.mark.parametrize("kind", ["cochain", "chain"])
