@@ -379,6 +379,8 @@ def interior_product(field, omega: Form):
     if field.nvars != omega.nvars:
         raise DimensionError("mismatched variable counts")
     k, q = field.degree, omega.degree
+    if k > q:
+        return Form._raw(omega.nvars, q - k, {})
     out = {}
     for idx_j, a in field.terms.items():
         for idx_i, b in omega.terms.items():

@@ -241,10 +241,12 @@ class Grading:
     ``GradedModeError``. The differential moves degree by ``step`` (+1 on
     cochains, -1 on chains) and weight by ``shift``: d-2, or m-1 if only the
     brackets (of degree m) are nonzero, or 0 with no data. ``_ranks`` keeps
-    (dimension, rank) per (degree, weight) for ``homology.betti``.
+    (dimension, rank) per (degree, weight) for ``homology.betti``, and
+    ``_monomials`` the packed monomial keys per coefficient degree for
+    ``assemble_slice``.
     """
 
-    __slots__ = ("structure", "module", "kind", "shift", "step", "_ranks")
+    __slots__ = ("structure", "module", "kind", "shift", "step", "_ranks", "_monomials")
 
     def __init__(self, structure: PoissonStructure, module: PoissonModule, kind: str):
         if kind not in ("chain", "cochain"):
@@ -280,6 +282,7 @@ class Grading:
         object.__setattr__(self, "shift", shift)
         object.__setattr__(self, "step", 1 if kind == "cochain" else -1)
         object.__setattr__(self, "_ranks", {})
+        object.__setattr__(self, "_monomials", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("Grading is immutable")
@@ -297,15 +300,21 @@ def _heads(module: PoissonModule, degree: int) -> list:
             for idx in (combinations(range(n), degree) if degree >= 0 else ())]
 
 
-def _slice_keys(module: PoissonModule, kind: str, degree: int, weight: int) -> list:
-    """The packed keys of one weight slice's basis, in ``slice_basis`` order."""
+def _slice_keys(module: PoissonModule, kind: str, degree: int, weight: int,
+                monomials: dict) -> list:
+    """The packed keys of one weight slice's basis, in ``slice_basis`` order.
+    ``monomials`` keeps the packed keys of the x^alpha per |alpha|, so a run
+    that passes one dict to every call enumerates each degree once."""
     n = module.nvars
     coeff_degree = _coefficient_degree(kind, degree, weight)
     heads = _heads(module, degree)
     if not heads or coeff_degree < 0:
         return []
-    monomials = [_pack(n, 0, (), exps) for exps in monomials_of_degree(n, coeff_degree)]
-    return [head + monomial for head in heads for monomial in monomials]
+    keys = monomials.get(coeff_degree)
+    if keys is None:
+        keys = monomials[coeff_degree] = [_pack(n, 0, (), exps)
+                                          for exps in monomials_of_degree(n, coeff_degree)]
+    return [head + monomial for head in heads for monomial in keys]
 
 
 def slice_basis(module: PoissonModule, kind: str, degree: int, weight: int):
@@ -319,7 +328,7 @@ def slice_basis(module: PoissonModule, kind: str, degree: int, weight: int):
     """
     if kind not in ("chain", "cochain"):
         raise ValueError(f"unknown kind {kind!r}")
-    return [_unpack(module.nvars, key) for key in _slice_keys(module, kind, degree, weight)]
+    return [_unpack(module.nvars, key) for key in _slice_keys(module, kind, degree, weight, {})]
 
 
 def element_from_basis(module: PoissonModule, kind: str, degree: int,
@@ -480,8 +489,9 @@ def assemble_slice(grading: Grading, degree: int, weight: int) -> ComplexSlice:
     structure, module, kind = grading.structure, grading.module, grading.kind
     n = module.nvars
     column = _kernel(structure, module, kind, degree, _coefficient_degree(kind, degree, weight))
-    domain = _slice_keys(module, kind, degree, weight)
-    codomain = _slice_keys(module, kind, degree + grading.step, weight + grading.shift)
+    domain = _slice_keys(module, kind, degree, weight, grading._monomials)
+    codomain = _slice_keys(module, kind, degree + grading.step, weight + grading.shift,
+                           grading._monomials)
     inside = set(codomain)
     columns = []
     for key in domain:

@@ -5,6 +5,14 @@ takes sparse rows, and a matrix has the rank of its transpose), so no dense
 matrix is built. Elimination is fraction-free over Python ints: no entry is
 ever rounded. A wrong rank would falsify the duality theorems spuriously,
 which is why no floating-point or modular-arithmetic shortcut is taken.
+
+The rows are split into blocks that share no column, and each block is
+eliminated on a live column index: for every column, the set of rows with a
+nonzero there, updated as reductions fill in and cancel entries. The pivot
+row, one with the fewest nonzeros, comes off a heap of (length, row); its
+pivot column, the one found in the fewest other rows, is read off the
+index; and only the rows the index lists for that column are reduced. So no
+elimination step scans the remaining rows of its block.
 """
 
 from __future__ import annotations
@@ -13,6 +21,7 @@ import hashlib
 import math
 import random
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from itertools import combinations
 
 from . import __version__
@@ -63,30 +72,54 @@ def _blocks(rows, ncols: int):
 
 
 def _block_rank(rows) -> int:
-    """Rank of one block of primitive integer rows by sparse fraction-free
-    elimination with Markowitz-style pivoting."""
+    """Rank of one block, a list of primitive integer rows, by sparse
+    fraction-free elimination with Markowitz-style pivoting on a live column
+    index. The list is consumed: a row id is its index, the rows are reduced
+    in place, and an entry becomes None once its row is a pivot or zero."""
+    if len(rows) == 1:
+        return 1
+    where: dict = {}  # column -> ids of the live rows with a nonzero there
+    for i, row in enumerate(rows):
+        for j in row:
+            if j in where:
+                where[j].add(i)
+            else:
+                where[j] = {i}
+    heap = [(len(row), i) for i, row in enumerate(rows)]
+    heapify(heap)
     rank = 0
-    while rows:
-        pivot = rows.pop(min(range(len(rows)), key=lambda i: len(rows[i])))
-        col = min(pivot, key=lambda j: sum(j in row for row in rows))
+    while heap:
+        length, p = heappop(heap)
+        pivot = rows[p]
+        if pivot is None or len(pivot) != length:
+            continue  # stale: the row was reduced, or is gone, since this push
+        rows[p] = None
+        for j in pivot:
+            where[j].discard(p)
+        col = min(pivot, key=lambda j: len(where[j]))
         lead = pivot[col]
+        rest = [(j, c) for j, c in pivot.items() if j != col]
         rank += 1
-        reduced = []
-        for row in rows:
-            entry = row.get(col)
-            if entry:
-                row = {j: lead * c for j, c in row.items()}
-                for j, c in pivot.items():
-                    c = row.get(j, 0) - entry * c
-                    if c:
-                        row[j] = c
-                    else:
-                        del row[j]
-                if not row:
-                    continue
-                row = _primitive(row)
-            reduced.append(row)
-        rows = reduced
+        for i in where.pop(col):
+            row = rows[i]
+            entry = row.pop(col)
+            if lead != 1:
+                for j in row:
+                    row[j] *= lead
+            for j, c in rest:
+                c = row.get(j, 0) - entry * c
+                if c:
+                    if j not in row:
+                        where[j].add(i)  # fill-in
+                    row[j] = c
+                else:  # cancellation; j was in row, as entry * c is nonzero
+                    del row[j]
+                    where[j].discard(i)
+            if row:
+                rows[i] = row = _primitive(row)
+                heappush(heap, (len(row), i))
+            else:
+                rows[i] = None
     return rank
 
 
@@ -103,27 +136,37 @@ def matrix_rank(matrix) -> int:
     primitive integer row, scaled by the lcm of its denominators. Rows that
     share no column, directly or through other rows, cannot affect each
     other's pivots, so the rows are split into such blocks and the block
-    ranks are added. Within a block, the row with the
-    fewest nonzeros is the pivot row and its column found in the fewest
-    remaining rows is the pivot column (Markowitz-style, to limit fill-in);
-    every row meeting that column becomes lead*row - entry*pivot_row,
-    divided by its content.
+    ranks are added; a block of one row has rank 1.
+
+    Within a block, a column index maps each column to the set of live rows
+    with a nonzero there. A heap of (number of nonzeros, row id), pushed
+    again whenever a row is reduced and skipped when an entry no longer
+    matches its row, gives the pivot row: a shortest row, the lowest id
+    among equals. Its column found in the fewest other live rows, counted
+    off the index, is the pivot column (Markowitz-style, to limit fill-in).
+    Only the rows the index lists for that column are reduced: each becomes
+    lead*row - entry*pivot_row, divided by its content. A new entry adds
+    the row to its column's set, and a cancelled one removes it.
     """
     ids: dict = {}
     sparse = []
     for row in matrix:
         entries = {}
+        fractional = False
         for key, c in row.items():
             if type(c) is not int:
                 c = _int_or_fraction(c)  # refuses anything inexact, zero or not
+                fractional = fractional or type(c) is not int
             if c:
                 entries[ids.setdefault(key, len(ids))] = c
-        if entries:
+        if fractional:
             scale = math.lcm(*(c.denominator for c in entries.values()))
-            if scale > 1:
-                entries = {j: c.numerator * (scale // c.denominator) for j, c in entries.items()}
+            entries = {j: c.numerator * (scale // c.denominator) for j, c in entries.items()}
+        if entries:
             sparse.append(_primitive(entries))
-    return sum(_block_rank(block) for block in _blocks(sparse, len(ids)))
+    blocks = _blocks(sparse, len(ids))
+    del sparse  # so each block's rows are freed as it is eliminated
+    return sum(map(_block_rank, blocks))
 
 
 def _ranked(grading: Grading, piece) -> None:
@@ -373,6 +416,7 @@ def verify_duality(structure: PoissonStructure, module: PoissonModule,
 
     triangle = _blacktriangle_keys(mu, n)
     slices = _slices("cochain", n, max_weight)
+    monomials: dict = {}  # the packed monomial keys of the non-graded pass
     checked = 0
     failures = []
     for degree, weight in slices:
@@ -386,7 +430,8 @@ def verify_duality(structure: PoissonStructure, module: PoissonModule,
         else:  # one basis vector at a time
             coeff_degree = weight + degree
             column = _kernel(structure, module, "cochain", degree, coeff_degree)
-            delta = ((key, column(key)) for key in _slice_keys(module, "cochain", degree, weight))
+            delta = ((key, column(key))
+                     for key in _slice_keys(module, "cochain", degree, weight, monomials))
             boundary = _kernel(structure, twisted, "chain", n - degree, coeff_degree)
         for key, image in delta:
             checked += 1

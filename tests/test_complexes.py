@@ -345,11 +345,11 @@ def test_blacktriangle_basis_is_a_bijection_of_slice_bases():
             triangle = _packed_triangle(mu, n)
             for k in range(n + 1):
                 for w in range(-k, 3):
-                    images = [triangle(key) for key in _slice_keys(W, "cochain", k, w)]
+                    images = [triangle(key) for key in _slice_keys(W, "cochain", k, w, {})]
                     assert images and all(coeff for _, coeff in images)
                     targets = [target for target, _ in images]
                     assert len(set(targets)) == len(targets)
-                    assert set(targets) == set(_slice_keys(W, "chain", n - k, w + n))
+                    assert set(targets) == set(_slice_keys(W, "chain", n - k, w + n, {}))
 
 
 def test_packed_blacktriangle_is_an_xor_with_a_sign_table():
@@ -361,7 +361,7 @@ def test_packed_blacktriangle_is_an_xor_with_a_sign_table():
             triangle = _packed_triangle(mu, n)
             for k in range(n + 1):
                 for w in range(-n, 4):
-                    for key in _slice_keys(W, "cochain", k, w):
+                    for key in _slice_keys(W, "cochain", k, w, {}):
                         element = element_from_basis(W, "cochain", k, _unpack(n, key))
                         target, coeff = triangle(key)
                         image = element_from_basis(W, "chain", n - k, _unpack(n, target))
