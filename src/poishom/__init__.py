@@ -18,15 +18,12 @@ from .calculus import (
     lie_derivative,
 )
 from .complexes import (
-    BasisElement,
     ComplexSlice,
     Grading,
     assemble_slice,
-    basis_image,
     blacktriangle,
     chain_differential,
     cochain_differential,
-    slice_basis,
 )
 from .errors import (
     CheckError,
@@ -58,7 +55,6 @@ from .poisson import PoissonStructure, VolumeForm
 from .poly import Poly, monomials_of_degree
 
 __all__ = [
-    "BasisElement",
     "BettiTable",
     "CheckError",
     "ComplexSlice",
@@ -82,7 +78,6 @@ __all__ = [
     "SchemaError",
     "VolumeForm",
     "assemble_slice",
-    "basis_image",
     "betti",
     "betti_table",
     "blacktriangle",
@@ -94,7 +89,6 @@ __all__ = [
     "lie_derivative",
     "matrix_rank",
     "monomials_of_degree",
-    "slice_basis",
     "twist",
     "verify_duality",
 ]

@@ -241,12 +241,10 @@ class Grading:
     ``GradedModeError``. The differential moves degree by ``step`` (+1 on
     cochains, -1 on chains) and weight by ``shift``: d-2, or m-1 if only the
     brackets (of degree m) are nonzero, or 0 with no data. ``_ranks`` keeps
-    (dimension, rank) per (degree, weight) for ``homology.betti``, and
-    ``_monomials`` the packed monomial keys per coefficient degree for
-    ``assemble_slice``.
+    (dimension, rank) per (degree, weight) for ``homology.betti``.
     """
 
-    __slots__ = ("structure", "module", "kind", "shift", "step", "_ranks", "_monomials")
+    __slots__ = ("structure", "module", "kind", "shift", "step", "_ranks")
 
     def __init__(self, structure: PoissonStructure, module: PoissonModule, kind: str):
         if kind not in ("chain", "cochain"):
@@ -282,7 +280,6 @@ class Grading:
         object.__setattr__(self, "shift", shift)
         object.__setattr__(self, "step", 1 if kind == "cochain" else -1)
         object.__setattr__(self, "_ranks", {})
-        object.__setattr__(self, "_monomials", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("Grading is immutable")
@@ -302,9 +299,16 @@ def _heads(module: PoissonModule, degree: int) -> list:
 
 def _slice_keys(module: PoissonModule, kind: str, degree: int, weight: int,
                 monomials: dict) -> list:
-    """The packed keys of one weight slice's basis, in ``slice_basis`` order.
-    ``monomials`` keeps the packed keys of the x^alpha per |alpha|, so a run
-    that passes one dict to every call enumerates each degree once."""
+    """The packed keys of one weight slice's basis.
+
+    Cochain slice (k, w): sections e_a (x) x^alpha Dx_I with |I| = k and
+    |alpha| = w + k. Chain slice (q, w): e_a (x) x^alpha dx_I with |alpha| =
+    w - q. Order: section, then index tuple (lex), then exponents
+    (lex-descending), matching the printing order of polynomials.
+    ``monomials`` keeps the packed keys of the x^alpha per |alpha|; they
+    depend on n alone, so slice assembly and the duality check pass their
+    structure's ``_monomials`` and enumerate each degree once per structure.
+    """
     n = module.nvars
     coeff_degree = _coefficient_degree(kind, degree, weight)
     heads = _heads(module, degree)
@@ -315,20 +319,6 @@ def _slice_keys(module: PoissonModule, kind: str, degree: int, weight: int,
         keys = monomials[coeff_degree] = [_pack(n, 0, (), exps)
                                           for exps in monomials_of_degree(n, coeff_degree)]
     return [head + monomial for head in heads for monomial in keys]
-
-
-def slice_basis(module: PoissonModule, kind: str, degree: int, weight: int):
-    """Ordered monomial basis of one weight slice.
-
-    Cochain slice (k, w): sections e_a (x) x^alpha Dx_I with |I| = k and
-    |alpha| = w + k. Chain slice (q, w): e_a (x) x^alpha dx_I with |alpha| =
-    w - q. Order: section, then index tuple (lex), then exponents
-    (lex-descending), matching the printing order of polynomials. These are
-    the decoded keys of ``ComplexSlice``, in its order.
-    """
-    if kind not in ("chain", "cochain"):
-        raise ValueError(f"unknown kind {kind!r}")
-    return [_unpack(module.nvars, key) for key in _slice_keys(module, kind, degree, weight, {})]
 
 
 def element_from_basis(module: PoissonModule, kind: str, degree: int,
@@ -347,7 +337,7 @@ class ComplexSlice:
     """One differential restricted to a weight slice, as sparse columns.
 
     ``domain_basis`` and ``codomain_basis`` are the packed keys (module
-    docstring) of the two slice bases, in ``slice_basis`` order; ``columns``
+    docstring) of the two slice bases, in ``_slice_keys`` order; ``columns``
     holds one {codomain key: coefficient} per domain basis vector, in the
     order of ``domain_basis``: the nonzero coefficients of its image.
     ``matrix`` derives the dense rows on demand, with int zeros; only
@@ -463,24 +453,6 @@ def _kernel(structure: PoissonStructure, module: PoissonModule, kind: str,
     return column
 
 
-def basis_image(structure: PoissonStructure, module: PoissonModule, kind: str,
-                degree: int, entry: BasisElement) -> dict:
-    """Image of one basis vector under the differential, as {BasisElement: coefficient}.
-
-    The decoded view of the packed kernel (``_kernel``) that slice assembly
-    and the duality check read, with the kernel's gates. It also checks
-    that ``entry`` is a basis vector of ``degree``: a section of the module,
-    increasing indices in 0..n-1 and n non-negative exponents, so that it
-    packs and decodes back to itself.
-    """
-    n = module.nvars
-    if (len(entry.indices) != degree or not 0 <= entry.section < module.rank
-            or min(entry.indices, default=0) < 0 or _unpack(n, key := _pack(n, *entry)) != entry):
-        raise DimensionError(f"{entry} is not a {kind} basis vector of degree {degree}")
-    column = _kernel(structure, module, kind, degree, sum(entry.exponents))(key)
-    return {_unpack(n, image): c for image, c in column.items()}
-
-
 def assemble_slice(grading: Grading, degree: int, weight: int) -> ComplexSlice:
     """Columns of the differential of ``grading``'s complex leaving slice
     (degree, weight); its codomain is slice (degree + step, weight + shift).
@@ -489,9 +461,9 @@ def assemble_slice(grading: Grading, degree: int, weight: int) -> ComplexSlice:
     structure, module, kind = grading.structure, grading.module, grading.kind
     n = module.nvars
     column = _kernel(structure, module, kind, degree, _coefficient_degree(kind, degree, weight))
-    domain = _slice_keys(module, kind, degree, weight, grading._monomials)
+    domain = _slice_keys(module, kind, degree, weight, structure._monomials)
     codomain = _slice_keys(module, kind, degree + grading.step, weight + grading.shift,
-                           grading._monomials)
+                           structure._monomials)
     inside = set(codomain)
     columns = []
     for key in domain:

@@ -29,6 +29,7 @@ from .calculus import ModuleCochainElement, MultiVector
 from .complexes import (
     Grading,
     _blacktriangle_keys,
+    _coefficient_degree,
     _kernel,
     _slice_keys,
     _unpack,
@@ -416,7 +417,6 @@ def verify_duality(structure: PoissonStructure, module: PoissonModule,
 
     triangle = _blacktriangle_keys(mu, n)
     slices = _slices("cochain", n, max_weight)
-    monomials: dict = {}  # the packed monomial keys of the non-graded pass
     checked = 0
     failures = []
     for degree, weight in slices:
@@ -428,10 +428,10 @@ def verify_duality(structure: PoissonStructure, module: PoissonModule,
             chains = assemble_slice(chain_grading, n - degree, weight + n)
             boundary = dict(zip(chains.domain_basis, chains.columns)).__getitem__
         else:  # one basis vector at a time
-            coeff_degree = weight + degree
+            coeff_degree = _coefficient_degree("cochain", degree, weight)
             column = _kernel(structure, module, "cochain", degree, coeff_degree)
-            delta = ((key, column(key))
-                     for key in _slice_keys(module, "cochain", degree, weight, monomials))
+            delta = ((key, column(key)) for key in
+                     _slice_keys(module, "cochain", degree, weight, structure._monomials))
             boundary = _kernel(structure, twisted, "chain", n - degree, coeff_degree)
         for key, image in delta:
             checked += 1

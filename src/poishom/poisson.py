@@ -62,7 +62,7 @@ class PoissonStructure:
     """
 
     __slots__ = ("bivector", "nvars", "coordinates", "_modular", "_hamiltonians",
-                 "_columns")
+                 "_columns", "_monomials")
 
     def __init__(self, bivector: MultiVector):
         if not isinstance(bivector, MultiVector):
@@ -78,6 +78,8 @@ class PoissonStructure:
         # (kind, module, packed key of e_a (x) I) -> the column tables of
         # ``complexes._column_tables``, filled on first use
         object.__setattr__(self, "_columns", {})
+        # |alpha| -> the packed keys of the x^alpha, for ``complexes._slice_keys``
+        object.__setattr__(self, "_monomials", {})
         x, br = self.coordinates, self.bracket
         for i, j, k in combinations(range(n), 3):
             jac = (br(br(x[i], x[j]), x[k]) + br(br(x[j], x[k]), x[i])

@@ -22,7 +22,7 @@ from poishom import (
     VolumeForm,
     elw_connection,
 )
-from poishom.complexes import _check_pair
+from poishom.complexes import _check_pair, _kernel, _pack, _slice_keys, _unpack
 
 XY = ["x", "y"]
 XYZ = ["x", "y", "z"]
@@ -182,6 +182,17 @@ def sl2_constants():
     for i, j, value in [(0, 1, (0, 0, 1)), (0, 2, (-2, 0, 0)), (1, 2, (0, 2, 0))]:
         c[i][j] = list(value)
         c[j][i] = [-v for v in value]
+    return c
+
+
+def semidirect_constants(A):
+    """R x|_A R^2 in the basis (x_1, x_2, x_3): [x_3, x_i] = sum_j A[j][i] x_j
+    for i = 1, 2, and [x_1, x_2] = 0. With A in Bianchi normal form these
+    are the Bianchi algebras I to VII."""
+    c = [[[0] * 3 for _ in range(3)] for _ in range(3)]
+    for i in range(2):
+        for j in range(2):
+            c[2][i][j], c[i][2][j] = A[j][i], -A[j][i]
     return c
 
 
@@ -535,3 +546,21 @@ def sparse_rows(m) -> list:
     """Dense rows as the sparse rows ``matrix_rank`` takes, {column: entry},
     zero entries kept."""
     return [dict(enumerate(r)) for r in m]
+
+
+# ----------------------------------------------------------------------
+# decoded slice bases and columns, over the packed kernel
+
+
+def slice_basis(module, kind, degree, weight) -> list:
+    """The basis of one weight slice as ``BasisElement``s, in the order of
+    its packed keys."""
+    return [_unpack(module.nvars, key) for key in _slice_keys(module, kind, degree, weight, {})]
+
+
+def basis_image(structure, module, kind, degree, entry) -> dict:
+    """The kernel's column of the basis vector ``entry`` of ``degree``, as
+    {BasisElement: coefficient}. The entry is not validated."""
+    n = module.nvars
+    column = _kernel(structure, module, kind, degree, sum(entry.exponents))
+    return {_unpack(n, key): c for key, c in column(_pack(n, *entry)).items()}

@@ -31,7 +31,6 @@ from poishom import (
     elw_connection,
     interior_product,
     lie_derivative,
-    slice_basis,
     twist,
     verify_duality,
 )
@@ -47,6 +46,7 @@ from catalog import (
     rand_cochain_element,
     rand_form,
     rand_multivector,
+    slice_basis,
     so3,
     so3_rank2,
     symplectic2,

@@ -8,7 +8,6 @@ from pathlib import Path
 import pytest
 
 from poishom import (
-    BasisElement,
     DimensionError,
     Form,
     GradedModeError,
@@ -22,17 +21,16 @@ from poishom import (
     Poly,
     VolumeForm,
     assemble_slice,
-    basis_image,
     betti_table,
     blacktriangle,
     chain_differential,
     cochain_differential,
     interior_product,
-    slice_basis,
     twist,
 )
 from poishom.cli import load
 from poishom.complexes import (
+    BasisElement,
     _B,
     _blacktriangle_keys,
     _kernel,
@@ -43,6 +41,7 @@ from poishom.complexes import (
 )
 
 from catalog import (
+    basis_image,
     bivector,
     chain_catalog,
     cochain_differential_oracle,
@@ -58,6 +57,7 @@ from catalog import (
     rand_chain_element,
     rand_cochain_element,
     rand_poly,
+    slice_basis,
     so3,
     so3_adjoint,
     so3_rank2,
@@ -270,7 +270,7 @@ def test_twisted_differential_identities():
 
 def test_differentials_are_first_order_in_the_coefficient():
     # d(fX) = f dX + X_f ^ X  and  bnd(f w) = f bnd(w) - iota_{X_f} w, componentwise,
-    # the rule ``basis_image`` builds its columns by
+    # the rule ``_kernel`` builds its columns by
     rng = random.Random(17)
     cases = 0
     for _, P, W, _ in chain_catalog():
@@ -598,7 +598,6 @@ def test_packed_columns_at_a_high_coefficient_degree():
         entry = BasisElement(0, (0,) * degree, (alpha,))
         column = _kernel(P, W, kind, degree, alpha)(_pack(1, *entry))
         image = {_unpack(1, key): c for key, c in column.items()}
-        assert image == basis_image(P, W, kind, degree, entry)
         expected = reference(P, W, element_from_basis(W, kind, degree, entry))
         target = degree + (1 if kind == "cochain" else -1)
         rebuilt = _rebuild(W, kind, target, image)
@@ -612,7 +611,7 @@ def test_packer_refuses_a_coefficient_degree_without_headroom():
     W = line_rank1(P, 1, 3)
     for kind, degree in (("cochain", 0), ("chain", 1)):
         with pytest.raises(DimensionError, match="overflows a packed key"):
-            basis_image(P, W, kind, degree, BasisElement(0, (0,) * degree, (2**31,)))
+            _kernel(P, W, kind, degree, 2**31)
     # refused before the slice is enumerated: so(3) has 2^61 monomials of this degree
     S, trivial = so3(), PoissonModule.trivial(3, 1)
     with pytest.raises(DimensionError, match="overflows a packed key"):
@@ -624,39 +623,28 @@ def test_packer_refuses_a_coefficient_degree_without_headroom():
 
 
 def test_chain_basis_image_keeps_the_gates():
+    # the column kernel runs flatness and the variable counts once, on creation
     W = quadratic_rank2(quadratic2())
-    entry = slice_basis(W, "chain", 1, 2)[0]
     with pytest.raises(PoishomError, match="not known to be flat"):
-        basis_image(symplectic2(), W, "chain", 1, entry)
-    with pytest.raises(DimensionError):
-        basis_image(so3(), PoissonModule.trivial(2, 1), "chain", 1, entry)
-    with pytest.raises(DimensionError):
-        basis_image(quadratic2(), W, "chain", 2, entry)
+        _kernel(symplectic2(), W, "chain", 1, 1)
+    with pytest.raises(DimensionError, match="mismatched variable counts"):
+        _kernel(so3(), PoissonModule.trivial(2, 1), "chain", 1, 1)
 
 
 def test_cochain_basis_image_keeps_the_gates():
     P = quadratic2()
     W = quadratic_rank2(P)
-    entry = slice_basis(W, "cochain", 1, 1)[-1]
-    assert basis_image(P, W, "cochain", 1, entry)  # memoised on P
+    key = _slice_keys(W, "cochain", 1, 1, {})[-1]
+    assert _kernel(P, W, "cochain", 1, 2)(key)  # memoised on P
     # equal bracket data, so the same memo key, but not known to be flat
     unchecked = PoissonModule(2, 2, W.brackets)
     assert unchecked == W and unchecked.structure is None
     with pytest.raises(PoishomError, match="not known to be flat"):
-        basis_image(P, unchecked, "cochain", 1, entry)
+        _kernel(P, unchecked, "cochain", 1, 2)
     with pytest.raises(PoishomError, match="not known to be flat"):
-        basis_image(symplectic2(), W, "cochain", 1, entry)
-    with pytest.raises(DimensionError):
-        basis_image(so3(), PoissonModule.trivial(2, 1), "cochain", 1, entry)
-    with pytest.raises(DimensionError):
-        basis_image(P, W, "cochain", 2, entry)
-    for exponents in ((1,), (1, 0, 0), (-1, 2)):
-        with pytest.raises(DimensionError):
-            basis_image(P, W, "cochain", 1, entry._replace(exponents=exponents))
-    for bad in (entry._replace(section=2), entry._replace(section=-1),
-                entry._replace(indices=(-1,)), entry._replace(indices=(2,))):
-        with pytest.raises(DimensionError):
-            basis_image(P, W, "cochain", 1, bad)
+        _kernel(symplectic2(), W, "cochain", 1, 2)
+    with pytest.raises(DimensionError, match="mismatched variable counts"):
+        _kernel(so3(), PoissonModule.trivial(2, 1), "cochain", 1, 2)
 
 
 @pytest.mark.parametrize("kind", ["cochain", "chain"])
@@ -689,10 +677,9 @@ def test_columns_call_the_reference_once_per_section_and_tuple(monkeypatch, kind
 
 def test_basis_image_refuses_an_unknown_kind():
     P, W = so3(), PoissonModule.trivial(3, 1)
-    entry = slice_basis(W, "cochain", 2, 0)[0]
     for kind in ("cochains", "homology", ""):
         with pytest.raises(ValueError, match=f"unknown kind {kind!r}"):
-            basis_image(P, W, kind, 2, entry)
+            _kernel(P, W, kind, 2, 2)
 
 
 def test_differentials_reject_rank_mismatch():

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from poishom import (
-    BasisElement,
     ComplexSlice,
     FlatnessError,
     Form,
@@ -19,7 +18,6 @@ from poishom import (
     Poly,
     VolumeForm,
     assemble_slice,
-    basis_image,
     betti,
     betti_table,
     blacktriangle,
@@ -28,16 +26,16 @@ from poishom import (
     elw_connection,
     matrix_rank,
     monomials_of_degree,
-    slice_basis,
     twist,
     verify_duality,
 )
 from poishom.calculus import ModuleCochainElement
-from poishom.complexes import _unpack
+from poishom.complexes import BasisElement, _unpack
 
 from catalog import (
     XYZ,
     adjoint,
+    basis_image,
     bianchi5,
     generic2,
     graded_catalog,
@@ -52,7 +50,9 @@ from catalog import (
     quadratic_rank2,
     rank_oracle,
     representation_module,
+    semidirect_constants,
     sl2_constants,
+    slice_basis,
     so3,
     so3_adjoint,
     sparse_rows,
@@ -389,9 +389,26 @@ def test_lie_poisson_constant_slices_give_lie_algebra_betti_numbers():
     is the Chevalley-Eilenberg differential of g with trivial coefficients
     (Chevalley and Eilenberg, Trans. AMS 63, 1948). So HP^k at weight -k is
     the Lie algebra Betti number b_k(g): (1, 2, 2, 1) for the Heisenberg
-    algebra, (1, 1, 0, 0) for Bianchi V, which is not unimodular."""
+    algebra, (1, 1, 0, 0) for Bianchi V, which is not unimodular.
+
+    The Bianchi algebras I to VII are R x|_A R^2 ([x3, x_i] = sum_j A[j][i]
+    x_j). Their derived algebra is the image of A and they are unimodular
+    iff tr A = 0, so b_0 = 1, b_1 = 3 - rank A, b_3 = [tr A = 0] and, the
+    Euler characteristic of g being 0, b_2 = b_1 + b_3 - 1. The simple
+    algebras VIII = sl(2) and IX = so(3) give (1, 0, 0, 1)."""
     W = PoissonModule.trivial(3, 1)
-    for structure, expected in [(heisenberg3(), [1, 2, 2, 1]), (bianchi5(), [1, 1, 0, 0])]:
+    cases = [(heisenberg3(), [1, 2, 2, 1]), (bianchi5(), [1, 1, 0, 0]),
+             (lie_poisson(sl2_constants()), [1, 0, 0, 1]), (so3(), [1, 0, 0, 1])]
+    bianchi = {
+        "I": [[0, 0], [0, 0]], "II": [[0, 1], [0, 0]], "III": [[1, 0], [0, 0]],
+        "IV": [[1, 1], [0, 1]], "V": [[1, 0], [0, 1]], "VI_0": [[1, 0], [0, -1]],
+        "VI_h": [[2, 0], [0, -1]], "VII_0": [[0, -1], [1, 0]], "VII_h": [[1, -1], [1, 1]],
+    }
+    for A in bianchi.values():
+        rank = 2 if A[0][0] * A[1][1] - A[0][1] * A[1][0] else int(any(map(any, A)))
+        b1, b3 = 3 - rank, int(A[0][0] + A[1][1] == 0)
+        cases.append((lie_poisson(semidirect_constants(A)), [1, b1, b1 + b3 - 1, b3]))
+    for structure, expected in cases:
         grading = Grading(structure, W, "cochain")
         assert [betti(grading, k, -k) for k in range(4)] == expected
 
@@ -760,10 +777,11 @@ def test_each_slice_is_assembled_at_most_once_per_run(monkeypatch):
     assert built == ["cochain"] and not calls
 
 
-def test_each_monomial_degree_is_enumerated_once_per_complex(monkeypatch):
+def test_each_monomial_degree_is_enumerated_once_per_structure(monkeypatch):
     # a slice basis is the domain of its own slice and the codomain of the
-    # one mapping into it; its monomials are enumerated once all the same:
-    # per Grading in graded mode, per run on the non-graded duality pass
+    # one mapping into it, and the chain slice (n-k, w+n) of a duality check
+    # has the coefficient degree w+k of the cochain slice (k, w); the packed
+    # monomial keys live on the structure, so each degree is enumerated once
     from poishom import complexes
 
     degrees = []
@@ -773,20 +791,28 @@ def test_each_monomial_degree_is_enumerated_once_per_complex(monkeypatch):
         degrees.append(degree)
         return enumerate_monomials(nvars, degree)
 
+    def quadratic():  # a fresh structure per run
+        P = quadratic2()
+        return P, quadratic_rank2(P)
+
     monkeypatch.setattr(complexes, "monomials_of_degree", recording)
-    P = quadratic2()
     runs = [
-        (lambda: betti_table(so3(), PoissonModule.trivial(3, 1), "cohomology", 4), 1),
-        (lambda: betti_table(P, quadratic_rank2(P), "homology", 4), 1),
-        (lambda: verify_duality(P, quadratic_rank2(P), VolumeForm(), 3, 0, 0), 2),
-        (lambda: verify_duality(generic2(), PoissonModule.trivial(2, 1), VolumeForm(), 3, 0, 0),
-         1),
+        lambda: betti_table(so3(), PoissonModule.trivial(3, 1), "cohomology", 4),
+        lambda: betti_table(*quadratic(), "homology", 4),
+        lambda: verify_duality(*quadratic(), VolumeForm(), 3, 0, 0),
+        lambda: verify_duality(generic2(), PoissonModule.trivial(2, 1), VolumeForm(), 3, 0, 0),
     ]
-    for run, complexes_per_run in runs:
+    for run in runs:
         degrees.clear()
         run()
         assert degrees
-        assert max(degrees.count(d) for d in degrees) == complexes_per_run
+        assert max(degrees.count(d) for d in degrees) == 1
+    # a second run on the same structure enumerates nothing
+    P, W = quadratic()
+    verify_duality(P, W, VolumeForm(), 3, 0, 0)
+    degrees.clear()
+    betti_table(P, W, "cohomology", 3)
+    assert degrees == []
 
 
 def test_report_serialization_is_json_friendly():

@@ -12,8 +12,6 @@ SRC = Path(poishom.__file__).resolve().parent
 ENTRY_POINTS = {
     "elw_connection": "the top-form connection from its own formula; tests compare it with a twist",
     "ComplexSlice.matrix": "dense view read by bench/tracing.py's slice statistics and by the rank tests",
-    "basis_image": "one decoded column of the packed kernel; the tests compare it with the object-level differentials",
-    "slice_basis": "the decoded slice bases, in the order of the packed keys; the tests build elements from them",
 }
 
 
